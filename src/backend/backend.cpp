@@ -123,13 +123,6 @@ void KernelBackend::csr_sub_spmv(const CsrMatrix& a, const Vector& r,
   }
 }
 
-double KernelBackend::csr_residual_norm_sq(const CsrMatrix& a, const Vector& b,
-                                           const Vector& x, Vector& r,
-                                           bool parallel) const {
-  return parallel ? fused_residual_norm_sq_omp(a, b, x, r)
-                  : fused_residual_norm_sq(a, b, x, r);
-}
-
 void KernelBackend::restrict_apply(const CsrMatrix& rt, const Vector& x,
                                    Vector& y, bool parallel) const {
   csr_spmv(rt, x, y, parallel);

@@ -4,7 +4,7 @@
 // AMGCL-style split (Demidov, PAPERS.md): the builder produces a
 // backend-neutral hierarchy (CSR operators plus optional SELL-C-σ forms),
 // and a KernelBackend supplies the solve-phase kernel set — SpMV, the fused
-// diagonal sweep, the fused sub-SpMV, residual(+norm), restrict/prolong
+// diagonal sweep, the fused sub-SpMV, the residual, restrict/prolong
 // application, axpy/dot, and workspace preparation. MgSetup resolves one
 // backend per hierarchy from KernelEngineOptions::backend and every cycle
 // driver (multiplicative, additive, async teams, shard workers) runs its
@@ -87,10 +87,6 @@ class KernelBackend {
                               Vector& x_out, bool parallel) const;
   virtual void csr_sub_spmv(const CsrMatrix& a, const Vector& r,
                             const Vector& e, Vector& tmp, bool parallel) const;
-  /// r = b - A x and returns sum r_i^2 (serial row-order reduction).
-  virtual double csr_residual_norm_sq(const CsrMatrix& a, const Vector& b,
-                                      const Vector& x, Vector& r,
-                                      bool parallel) const;
 
   // --- Transfer application ------------------------------------------------
 

@@ -58,6 +58,22 @@ void MultiplicativeMg::set_telemetry(TelemetrySink* sink, std::size_t tid) {
   }
 }
 
+namespace {
+
+/// Detaches an attached-but-disabled sink for the duration of one public
+/// call, so the whole call takes the zero-overhead path (no phase records,
+/// no counter traffic); restores it on exit. Nested calls see nullptr.
+struct QuietIfDisabled {
+  explicit QuietIfDisabled(TelemetrySink*& t) : tel(t), saved(t) {
+    if (t != nullptr && !t->enabled()) t = nullptr;
+  }
+  ~QuietIfDisabled() { tel = saved; }
+  TelemetrySink*& tel;
+  TelemetrySink* const saved;
+};
+
+}  // namespace
+
 void MultiplicativeMg::phase_mark(EventKind kind, CyclePhase phase,
                                   std::size_t level) {
   tel_->record(tel_tid_, kind, static_cast<std::int64_t>(phase),
@@ -211,61 +227,65 @@ void MultiplicativeMg::level_solve_reference(std::size_t k) {
   pe(CyclePhase::kPostSmooth, k);
 }
 
-void MultiplicativeMg::cycle(const Vector& b, Vector& x) {
-  if (tel_ != nullptr && !tel_->enabled()) {
-    // Drop to the zero-overhead path for the whole cycle.
-    TelemetrySink* const saved = tel_;
-    tel_ = nullptr;
-    cycle(b, x);
-    tel_ = saved;
-    return;
-  }
+void MultiplicativeMg::residual(const Vector& b, const Vector& x) {
   pb(CyclePhase::kResidual, 0);
-  if (fused_) {
-    if (s_->sell(0) != nullptr) {
-      be_->sell_residual(*s_->sell(0), b, x, ws_.r(0), /*parallel=*/true);
-    } else {
-      be_->csr_residual(s_->a(0), b, x, ws_.r(0), /*parallel=*/true);
-    }
-  } else {
+  if (!fused_) {
     s_->a(0).residual(b, x, ws_.r(0));
+  } else if (s_->sell(0) != nullptr) {
+    be_->sell_residual(*s_->sell(0), b, x, ws_.r(0), /*parallel=*/true);
+  } else {
+    be_->csr_residual(s_->a(0), b, x, ws_.r(0), /*parallel=*/true);
   }
   pe(CyclePhase::kResidual, 0);
+}
+
+double MultiplicativeMg::residual_norm_sq(const Vector& b, const Vector& x) {
+  const QuietIfDisabled quiet(tel_);
+  residual(b, x);
+  return be_->dot(ws_.r(0), ws_.r(0));
+}
+
+void MultiplicativeMg::correct(Vector& x) {
+  const QuietIfDisabled quiet(tel_);
   level_solve(0);
   be_->axpy(1.0, ws_.e(0), x);
 }
 
+void MultiplicativeMg::cycle(const Vector& b, Vector& x) {
+  const QuietIfDisabled quiet(tel_);
+  residual(b, x);
+  correct(x);
+}
+
 SolveStats MultiplicativeMg::solve(const Vector& b, Vector& x, int t_max,
-                                   double tol) {
+                                   double tol, Clock::time_point deadline) {
+  const QuietIfDisabled quiet(tel_);
   SolveStats stats;
   Timer timer;
   const double bnorm = norm2(b);
   const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
-  // tmp(0) is free between cycles; the fused residual+norm makes the
-  // convergence check a single pass over A_0.
-  Vector& r = ws_.tmp(0);
-  const auto rel_res = [&]() {
-    if (fused_) {
-      return std::sqrt(be_->csr_residual_norm_sq(s_->a(0), b, x, r,
-                                                 /*parallel=*/true)) *
-             scale;
-    }
-    s_->a(0).residual(b, x, r);
-    return norm2(r) * scale;
-  };
-  stats.rel_res_history.push_back(rel_res());
-  for (int t = 0; t < t_max; ++t) {
-    cycle(b, x);
+  // Each check leaves b - A_0 x in ws_.r(0) and correct() starts from it,
+  // so the check and the next cycle's residual are one pass over A_0.
+  while (!stop_after_check(stats, std::sqrt(residual_norm_sq(b, x)) * scale,
+                           t_max, tol, deadline)) {
+    correct(x);
     ++stats.cycles;
-    const double rr = rel_res();
-    stats.rel_res_history.push_back(rr);
-    if (tol > 0.0 && rr < tol) {
-      stats.converged = true;
-      break;
-    }
   }
   stats.seconds = timer.seconds();
   return stats;
+}
+
+bool MultiplicativeMg::stop_after_check(SolveStats& stats, double rr,
+                                        int t_max, double tol,
+                                        Clock::time_point deadline) {
+  stats.rel_res_history.push_back(rr);
+  if (stats.cycles > 0 && tol > 0.0 && rr < tol) {
+    stats.converged = true;
+    return true;
+  }
+  if (!std::isfinite(rr) || stats.cycles >= t_max) return true;
+  stats.timed_out = Clock::now() >= deadline;
+  return stats.timed_out;
 }
 
 }  // namespace asyncmg

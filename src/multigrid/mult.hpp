@@ -4,6 +4,7 @@
 // M^T, which makes the cycle symmetric and mathematically equivalent to
 // Multadd with the symmetrized smoother (Section II-B1).
 
+#include <chrono>
 #include <cstddef>
 
 #include "multigrid/setup.hpp"
@@ -26,12 +27,38 @@ class MultiplicativeMg {
                             int pre_sweeps = 1, int post_sweeps = 1,
                             int gamma = 1);
 
+  using Clock = std::chrono::steady_clock;
+
   /// One V(1,1)-cycle: x is corrected in place using right-hand side b.
+  /// Bit-identical to residual_norm_sq(b, x) followed by correct(x).
   void cycle(const Vector& b, Vector& x);
 
-  /// Runs `t_max` cycles (or until ||r||/||b|| < tol when tol > 0),
-  /// recording the residual history.
-  SolveStats solve(const Vector& b, Vector& x, int t_max, double tol = 0.0);
+  /// Writes r_0 = b - A_0 x into the workspace with the cycle's own
+  /// residual kernel and returns ||r_0||^2 (a serial row-order sum, the
+  /// same bits as norm2(r)^2). A correct(x) that follows reuses this r_0,
+  /// so a convergence check costs no pass over A_0 of its own.
+  double residual_norm_sq(const Vector& b, const Vector& x);
+
+  /// The rest of the cycle on the r_0 the last residual_norm_sq()/cycle()
+  /// left in the workspace: x += MG(r_0). x must still be the iterate that
+  /// residual was computed from.
+  void correct(Vector& x);
+
+  /// The Mult solve driver. Each iteration's convergence check is the next
+  /// cycle's residual. Records the relative residual history and stops at
+  /// the first of: ||r||/||b|| < tol after a cycle (tol > 0), a non-finite
+  /// relative residual (NaN/Inf input or a diverging iterate; converged
+  /// stays false), `t_max` cycles, or `deadline` passing before a cycle
+  /// starts (sets timed_out; x is the best-so-far iterate).
+  SolveStats solve(const Vector& b, Vector& x, int t_max, double tol = 0.0,
+                   Clock::time_point deadline = Clock::time_point::max());
+
+  /// solve()'s stop rule, for loops that drive residual_norm_sq()/correct()
+  /// themselves: records the check's relative residual `rr` in `stats` and
+  /// returns true when no further cycle may run (setting converged or
+  /// timed_out when that is the reason).
+  static bool stop_after_check(SolveStats& stats, double rr, int t_max,
+                               double tol, Clock::time_point deadline);
 
   /// Attach a telemetry sink: cycle phases (residual, smooths, transfers,
   /// coarse solve) are recorded as begin/end events on ring `tid`, and the
@@ -59,6 +86,9 @@ class MultiplicativeMg {
   const CycleWorkspace& workspace() const { return ws_; }
 
  private:
+  /// r_0 = b - A_0 x into ws_.r(0) through the fastest bit-identical
+  /// kernel: backend SELL, backend CSR, or the reference path when unfused.
+  void residual(const Vector& b, const Vector& x);
   /// Recursive multigrid on the error equation A_k e_k = r_k; reads
   /// ws_.r(k), leaves the correction in ws_.e(k).
   void level_solve(std::size_t k);

@@ -16,6 +16,9 @@ struct SolveStats {
   /// True when the final relative residual fell below the requested
   /// tolerance (always false when tol <= 0: no tolerance checking).
   bool converged = false;
+  /// True when the solve's deadline passed before the next cycle could
+  /// start; x then holds the best-so-far iterate.
+  bool timed_out = false;
   /// Wall-clock seconds of the solve loop (excludes setup).
   double seconds = 0.0;
 

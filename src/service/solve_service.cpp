@@ -1,5 +1,6 @@
 #include "service/solve_service.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -18,83 +19,40 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// V-cycle loop with a wall-clock deadline: stops after the cycle that
-/// crosses `deadline` (absolute, 0-disabled via has_deadline) and reports
-/// the best-so-far iterate in x.
-SolveStats solve_with_deadline(const MgSetup& s, const Vector& b, Vector& x,
-                               int t_max, double tol, bool has_deadline,
-                               Clock::time_point deadline, bool& timed_out) {
-  MultiplicativeMg mg(s);
-  SolveStats stats;
-  const double bnorm = norm2(b);
-  const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
-  Vector r;
-  const auto t0 = Clock::now();
-  s.a(0).residual(b, x, r);
-  stats.rel_res_history.push_back(norm2(r) * scale);
-  for (int t = 0; t < t_max; ++t) {
-    if (has_deadline && Clock::now() >= deadline) {
-      timed_out = true;
-      break;
-    }
-    mg.cycle(b, x);
-    ++stats.cycles;
-    s.a(0).residual(b, x, r);
-    const double rr = norm2(r) * scale;
-    stats.rel_res_history.push_back(rr);
-    if (tol > 0.0 && rr < tol) {
-      stats.converged = true;
-      break;
-    }
-  }
-  stats.seconds = seconds_since(t0);
-  return stats;
-}
-
 /// Cold-path loop against a BackgroundSetup: each iteration tries one
 /// cooperative builder step (try-lock; returns instantly while the lane is
 /// mid-step), re-snapshots when new levels landed, and cycles on the
 /// deepest ready prefix. Converges on whatever depth is available; once the
 /// build completes the loop runs the full cycle, LU coarse solve included.
+/// Runs MultiplicativeMg::solve's residual/correct pair and stop rule: the
+/// convergence check is the next cycle's residual, recomputed only when a
+/// deeper snapshot replaces the solver (and its workspace).
 SolveStats solve_with_background(BackgroundSetup& bg, const Vector& b,
                                  Vector& x, int t_max, double tol,
-                                 bool has_deadline, Clock::time_point deadline,
-                                 bool& timed_out,
+                                 Clock::time_point deadline,
                                  std::size_t& partial_cycles) {
   SolveStats stats;
   const double bnorm = norm2(b);
   const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
-  Vector r;
   const auto t0 = Clock::now();
 
   std::shared_ptr<const MgSetup> setup = bg.snapshot();
   auto mg = std::make_unique<MultiplicativeMg>(*setup);
-  setup->a(0).residual(b, x, r);
-  stats.rel_res_history.push_back(norm2(r) * scale);
-  for (int t = 0; t < t_max; ++t) {
-    if (has_deadline && Clock::now() >= deadline) {
-      timed_out = true;
-      break;
-    }
+  while (!MultiplicativeMg::stop_after_check(
+      stats, std::sqrt(mg->residual_norm_sq(b, x)) * scale, t_max, tol,
+      deadline)) {
     bg.advance();
     if (bg.ready_levels() > setup->num_levels()) {
       std::shared_ptr<const MgSetup> deeper = bg.snapshot();
       if (deeper != setup) {
         setup = std::move(deeper);
         mg = std::make_unique<MultiplicativeMg>(*setup);
+        mg->residual_norm_sq(b, x);
       }
     }
-    const bool partial = setup != bg.full();  // this cycle's hierarchy
-    mg->cycle(b, x);
+    if (setup != bg.full()) ++partial_cycles;  // this cycle's hierarchy
+    mg->correct(x);
     ++stats.cycles;
-    if (partial) ++partial_cycles;
-    setup->a(0).residual(b, x, r);
-    const double rr = norm2(r) * scale;
-    stats.rel_res_history.push_back(rr);
-    if (tol > 0.0 && rr < tol) {
-      stats.converged = true;
-      break;
-    }
   }
   stats.seconds = seconds_since(t0);
   return stats;
@@ -126,7 +84,8 @@ std::string ServiceStats::to_json() const {
     << "\"resident_entries\":" << cache.resident_entries << "},"
     << "\"latency_p50\":" << latency_p50 << ","
     << "\"latency_p95\":" << latency_p95 << ","
-    << "\"latency_mean\":" << latency_mean << "}";
+    << "\"latency_mean\":" << latency_mean << ","
+    << "\"latency_samples\":" << latency_samples << "}";
   return o.str();
 }
 
@@ -196,12 +155,14 @@ void SolveService::execute(
   try {
     resp.queue_seconds = seconds_since(submitted);
 
-    const bool has_deadline = ropts.timeout_seconds > 0.0;
     const auto deadline =
-        submitted + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(ropts.timeout_seconds));
+        ropts.timeout_seconds > 0.0
+            ? submitted + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(
+                                  ropts.timeout_seconds))
+            : Clock::time_point::max();
 
-    if (has_deadline && Clock::now() >= deadline) {
+    if (Clock::now() >= deadline) {
       // Expired while queued: the zero initial guess is the best-so-far
       // iterate, with exact relative residual 1. Skips the setup entirely.
       resp.x.assign(b.size(), 0.0);
@@ -233,10 +194,8 @@ void SolveService::execute(
       a = CsrMatrix();  // the setup/builder owns its own copy
 
       if (bg) {
-        resp.stats =
-            solve_with_background(*bg, b, resp.x, t_max, tol, has_deadline,
-                                  deadline, resp.timed_out,
-                                  resp.partial_cycles);
+        resp.stats = solve_with_background(*bg, b, resp.x, t_max, tol,
+                                           deadline, resp.partial_cycles);
         resp.partial_setup = resp.partial_cycles > 0;
         // Register the finished setup so later requests are warm. If the
         // solve converged before the build did, a detached pool task
@@ -255,10 +214,10 @@ void SolveService::execute(
         partial_cycles_ += resp.partial_cycles;
         if (fell_back) ++setup_fallbacks_;
       } else {
-        resp.stats =
-            solve_with_deadline(*setup, b, resp.x, t_max, tol, has_deadline,
-                                deadline, resp.timed_out);
+        MultiplicativeMg mg(*setup);
+        resp.stats = mg.solve(b, resp.x, t_max, tol, deadline);
       }
+      resp.timed_out = resp.stats.timed_out;
     }
   } catch (...) {
     error = std::current_exception();
@@ -272,7 +231,7 @@ void SolveService::execute(
     --in_flight_;
     ++completed_;
     if (!error && resp.timed_out) ++timed_out_;
-    latencies_.push_back(latency);
+    latencies_.add(latency);
     depth = in_flight_;
   }
   if (TelemetrySink* const tel = opts_.telemetry;
@@ -312,13 +271,14 @@ ServiceStats SolveService::stats() const {
     s.partial_solves = partial_solves_;
     s.partial_cycles = partial_cycles_;
     s.setup_fallbacks = setup_fallbacks_;
-    lat = latencies_;
+    lat = latencies_.samples();
   }
   s.cache = cache_->stats();
   if (!lat.empty()) {
     s.latency_mean = mean(lat);
     s.latency_p50 = percentile(lat, 50.0);
     s.latency_p95 = percentile(lat, 95.0);
+    s.latency_samples = lat.size();
   }
   return s;
 }

@@ -24,6 +24,7 @@
 #include "service/batch_solver.hpp"
 #include "service/hierarchy_cache.hpp"
 #include "service/solver_pool.hpp"
+#include "util/stats.hpp"
 
 namespace asyncmg {
 
@@ -93,16 +94,23 @@ struct ServiceStats {
   std::uint64_t partial_cycles = 0;
   std::uint64_t setup_fallbacks = 0;
   HierarchyCacheStats cache;
-  // Submit-to-completion latency over completed requests, seconds.
+  // Submit-to-completion latency, seconds, over the most recent
+  // `latency_samples` completed requests (at most
+  // SolveService::kLatencyWindow; older requests fall out of the window).
   double latency_p50 = 0.0;
   double latency_p95 = 0.0;
   double latency_mean = 0.0;
+  std::size_t latency_samples = 0;
 
   std::string to_json() const;
 };
 
 class SolveService {
  public:
+  /// Completed-request latencies kept for the stats() percentiles: a fixed
+  /// ring, so service memory does not grow with the requests it serves.
+  static constexpr std::size_t kLatencyWindow = 1024;
+
   explicit SolveService(ServiceOptions opts);
 
   /// Drains in-flight requests, then stops the pool.
@@ -151,7 +159,7 @@ class SolveService {
   std::uint64_t partial_cycles_ = 0;
   std::uint64_t setup_fallbacks_ = 0;
   std::size_t in_flight_ = 0;
-  std::vector<double> latencies_;
+  RecentSamples latencies_{kLatencyWindow};
   // Destroyed first: pool shutdown waits for tasks, which touch the members
   // above, so the pool must precede them in destruction order.
   std::unique_ptr<SolverPool> pool_;

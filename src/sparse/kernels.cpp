@@ -167,39 +167,4 @@ void fused_sub_spmv_omp(const CsrMatrix& a, const Vector& r, const Vector& e,
   });
 }
 
-double fused_residual_norm_sq(const CsrMatrix& a, const Vector& b,
-                              const Vector& x, Vector& r) {
-  assert(static_cast<Index>(b.size()) == a.rows() &&
-         static_cast<Index>(x.size()) == a.cols());
-  const Index n = a.rows();
-  r.resize(static_cast<std::size_t>(n));
-  const Index* const rp = a.row_ptr().data();
-  const Index* const ci = a.col_idx().data();
-  const double* const xp = x.data();
-  const double* const bp = b.data();
-  double* const rr = r.data();
-  return a.with_values([&](const auto* av) {
-    double sumsq = 0.0;
-    for (Index i = 0; i < n; ++i) {
-      double s = bp[i];
-      for (Index k = rp[i]; k < rp[i + 1]; ++k) {
-        s -= av[k] * xp[ci[k]];
-      }
-      rr[i] = s;
-      sumsq += s * s;
-    }
-    return sumsq;
-  });
-}
-
-double fused_residual_norm_sq_omp(const CsrMatrix& a, const Vector& b,
-                                  const Vector& x, Vector& r) {
-  const bool par = use_solve_omp(a.rows());
-  if (!par) return fused_residual_norm_sq(a, b, x, r);
-  a.residual_omp(b, x, r);
-  double sumsq = 0.0;
-  for (double v : r) sumsq += v * v;
-  return sumsq;
-}
-
 }  // namespace asyncmg

@@ -15,11 +15,6 @@
 //       == spmv(e, tmp); tmp[i] = r[i] - tmp[i]
 //       (spmv accumulation order: s = 0, then s += a_ij e_j)
 //
-//   fused_residual_norm_sq :  r = b - A x, returns sum_i r_i^2
-//       == residual(b, x, r); dot(r, r)
-//       (the sum-of-squares accumulates serially left to right, exactly
-//       like dot(), regardless of how many threads computed r)
-//
 // The two accumulation orders are not interchangeable bitwise; every caller
 // must pick the one its reference path uses.
 
@@ -109,18 +104,6 @@ void fused_sub_spmv(const CsrMatrix& a, const Vector& r, const Vector& e,
 /// OpenMP variant of fused_sub_spmv.
 void fused_sub_spmv_omp(const CsrMatrix& a, const Vector& r, const Vector& e,
                         Vector& tmp);
-
-/// r = b - A x and sum_i r_i^2 in one pass over A; the return value is
-/// bit-identical to dot(r, r) after CsrMatrix::residual. The sum is always
-/// accumulated serially in row order, so it is thread-count invariant.
-double fused_residual_norm_sq(const CsrMatrix& a, const Vector& b,
-                              const Vector& x, Vector& r);
-
-/// OpenMP variant: the residual rows are computed in parallel, the
-/// sum-of-squares reduction stays a serial second pass over r (cache-hot),
-/// preserving bitwise identity with the serial form.
-double fused_residual_norm_sq_omp(const CsrMatrix& a, const Vector& b,
-                                  const Vector& x, Vector& r);
 
 /// Approximate bytes one pass over `a` streams (values at the stored scalar
 /// width + columns + row pointers), for the telemetry bytes-moved counters.

@@ -53,6 +53,22 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
 }
 
+RecentSamples::RecentSamples(std::size_t capacity) : cap_(capacity) {
+  if (capacity == 0) {
+    throw std::invalid_argument("RecentSamples: capacity must be > 0");
+  }
+  buf_.reserve(capacity);
+}
+
+void RecentSamples::add(double x) {
+  if (buf_.size() < cap_) {
+    buf_.push_back(x);
+  } else {
+    buf_[next_] = x;
+    next_ = (next_ + 1) % cap_;
+  }
+}
+
 double geometric_mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;

@@ -2,6 +2,7 @@
 // Small statistics helpers for averaging benchmark runs (the paper reports
 // the mean of 20 runs for every data point).
 
+#include <cstddef>
 #include <vector>
 
 namespace asyncmg {
@@ -19,6 +20,23 @@ double percentile(std::vector<double> xs, double p);
 double geometric_mean(const std::vector<double>& xs);  // requires xs > 0
 double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
+
+/// Fixed-capacity ring of the most recent samples: add() is O(1) and the
+/// memory stays at `capacity` doubles however many samples arrive, so
+/// long-running services can keep percentiles over a recent window.
+class RecentSamples {
+ public:
+  explicit RecentSamples(std::size_t capacity);
+  void add(double x);
+  /// The retained samples (the last min(count, capacity) added), unordered.
+  const std::vector<double>& samples() const { return buf_; }
+  std::size_t capacity() const { return cap_; }
+
+ private:
+  std::vector<double> buf_;
+  std::size_t cap_;
+  std::size_t next_ = 0;  // slot the next sample overwrites once full
+};
 
 /// Online accumulator (Welford) for streaming runs.
 class RunningStats {

@@ -314,6 +314,59 @@ TEST(BackendIntegration, SimdCycleMatchesScalarCycleBitwise) {
   }
 }
 
+TEST(BackendIntegration, SolveHistoryMatchesReferenceResidualNorm) {
+  // MultiplicativeMg::solve reuses each convergence check's residual as the
+  // next cycle's r_0, and takes the norm with the backend dot. Its history
+  // and iterate must equal, bit for bit, the plain loop of cycle() plus a
+  // reference a(0).residual + norm2 check -- with level 0 on SELL and on
+  // CSR, under every backend the host supports.
+  constexpr int kCycles = 6;
+  for (const bool sell0 : {true, false}) {
+    for (const BackendKind k :
+         {BackendKind::kScalar, BackendKind::kAvx2, BackendKind::kAvx512}) {
+      if (!backend_supported(k)) continue;
+      Problem prob = make_laplace_7pt(12);
+      MgOptions mo;
+      mo.smoother.type = SmootherType::kWeightedJacobi;
+      mo.engine.backend = k;
+      mo.engine.use_sell = sell0;
+      mo.engine.sell_min_rows = 1;
+      const MgSetup setup(std::move(prob.a), mo);
+      ASSERT_EQ(setup.backend_kind(), k);
+      ASSERT_EQ(setup.sell(0) != nullptr, sell0);
+      const std::string what =
+          std::string(backend_kind_name(k)) + (sell0 ? " sell" : " csr");
+      Rng rng(31);
+      const Vector b =
+          random_vector(static_cast<std::size_t>(setup.a(0).rows()), rng);
+      const double scale = 1.0 / norm2(b);
+
+      MultiplicativeMg ref_mg(setup);
+      Vector x_ref(b.size(), 0.0);
+      Vector r;
+      std::vector<double> hist_ref;
+      setup.a(0).residual(b, x_ref, r);
+      hist_ref.push_back(norm2(r) * scale);
+      for (int t = 0; t < kCycles; ++t) {
+        ref_mg.cycle(b, x_ref);
+        setup.a(0).residual(b, x_ref, r);
+        hist_ref.push_back(norm2(r) * scale);
+      }
+
+      MultiplicativeMg mg(setup);
+      Vector x(b.size(), 0.0);
+      const SolveStats st = mg.solve(b, x, kCycles);
+      EXPECT_EQ(st.cycles, kCycles) << what;
+      ASSERT_EQ(st.rel_res_history.size(), hist_ref.size()) << what;
+      for (std::size_t i = 0; i < hist_ref.size(); ++i) {
+        EXPECT_EQ(st.rel_res_history[i], hist_ref[i])
+            << what << " history " << i;
+      }
+      expect_bitwise(x_ref, x, what.c_str());
+    }
+  }
+}
+
 TEST(BackendIntegration, BackendSelectEventEmittedOnlyForNonScalar) {
   const auto count_selects = [](BackendKind k, BackendKind* resolved) {
     const auto setup = make_setup(k);

@@ -5,8 +5,11 @@
 
 #include <atomic>
 #include <barrier>
+#include <cmath>
 #include <filesystem>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -552,6 +555,77 @@ TEST(SolveService, BatchedSolvesMatchIndependentUnderConcurrentClients) {
     }
   }
   EXPECT_EQ(svc.stats().cache.setups_built, 1u);
+}
+
+void expect_bitwise(const Vector& ref, const Vector& got, const char* what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(ref[i], got[i]) << what << " differs at " << i;
+  }
+}
+
+TEST(SolveService, ResponseIsBitwiseTheMultDriver) {
+  // The service runs MultiplicativeMg::solve itself: iterate, residual
+  // history and cycle count match a standalone solve on the cached setup
+  // bit for bit.
+  SolveService svc(small_service_options(2));
+  Problem p = make_laplace_27pt(10);
+  const auto n = static_cast<std::size_t>(p.a.rows());
+  for (std::uint64_t seed : {11u, 12u}) {
+    const SolveResponse got = svc.submit(p.a, rhs_for(n, seed)).get();
+    auto setup = svc.cache().get_or_build(p.a);
+    MultiplicativeMg mg(*setup);
+    Vector x(n, 0.0);
+    const SolveStats ref = mg.solve(rhs_for(n, seed), x, 30, 1e-9);
+    EXPECT_EQ(got.stats.cycles, ref.cycles);
+    EXPECT_EQ(got.stats.converged, ref.converged);
+    ASSERT_EQ(got.stats.rel_res_history.size(), ref.rel_res_history.size());
+    for (std::size_t i = 0; i < ref.rel_res_history.size(); ++i) {
+      EXPECT_EQ(got.stats.rel_res_history[i], ref.rel_res_history[i])
+          << "history " << i;
+    }
+    expect_bitwise(x, got.x, "service x");
+  }
+}
+
+TEST(SolveService, NonFiniteRhsStopsWithinOneCycleUnconverged) {
+  SolveService svc(small_service_options(1));
+  Problem p = make_laplace_7pt(8);
+  const auto n = static_cast<std::size_t>(p.a.rows());
+  RequestOptions ro;
+  ro.t_max = 50;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Vector b = rhs_for(n, 3);
+    b[n / 2] = bad;
+    const SolveResponse resp = svc.submit(p.a, b, ro).get();
+    EXPECT_LE(resp.stats.cycles, 1);
+    EXPECT_FALSE(resp.stats.converged);
+    EXPECT_FALSE(resp.timed_out);
+    EXPECT_FALSE(std::isfinite(resp.stats.final_rel_res()));
+  }
+}
+
+TEST(SolveService, LatencyWindowStaysBoundedPastCapacity) {
+  SolveService svc(small_service_options(2));
+  Problem p = make_laplace_7pt(4);
+  const auto n = static_cast<std::size_t>(p.a.rows());
+  constexpr std::size_t kExtra = 5;
+  const std::size_t total = SolveService::kLatencyWindow + kExtra;
+  for (std::size_t i = 0; i < total; ++i) {
+    svc.submit(p.a, rhs_for(n, 100 + i)).get();
+    if (i + 1 == SolveService::kLatencyWindow / 2) {
+      EXPECT_EQ(svc.stats().latency_samples, i + 1);
+    }
+  }
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.completed, total);
+  EXPECT_EQ(st.latency_samples, SolveService::kLatencyWindow);
+  EXPECT_GT(st.latency_p50, 0.0);
+  EXPECT_LE(st.latency_p50, st.latency_p95);
+  EXPECT_NE(st.to_json().find("\"latency_samples\":" +
+                              std::to_string(SolveService::kLatencyWindow)),
+            std::string::npos);
 }
 
 TEST(SolveService, DeadlineReturnsBestSoFarWithTimedOutFlag) {

@@ -455,6 +455,39 @@ TEST(CycleTelemetry, PhasesAreBalancedAndOnTheConfiguredTid) {
   EXPECT_TRUE(sink.drain().empty());
 }
 
+TEST(CycleTelemetry, SolveRecordsOneLevel0ResidualPerCheck) {
+  // The solve loop's convergence check is the next cycle's residual: a t-cycle
+  // solve runs exactly t+1 level-0 residual passes (the initial check, then
+  // one after each cycle, each reused by the cycle that follows).
+  Fixture f;
+  TelemetrySink sink;
+  MultiplicativeMg mg(*f.setup);
+  mg.set_telemetry(&sink, 0);
+  for (const int t : {0, 1, 4}) {
+    Vector x(f.b.size(), 0.0);
+    const SolveStats st = mg.solve(f.b, x, t);
+    ASSERT_EQ(st.cycles, t);
+    int residual_begins = 0;
+    int residual_ends = 0;
+    for (const DrainedEvent& de : sink.drain()) {
+      if (de.ev.a != static_cast<std::int64_t>(CyclePhase::kResidual) ||
+          de.ev.b != 0) {
+        continue;
+      }
+      if (de.ev.kind == EventKind::kPhaseBegin) ++residual_begins;
+      if (de.ev.kind == EventKind::kPhaseEnd) ++residual_ends;
+    }
+    EXPECT_EQ(residual_begins, t + 1) << "t=" << t;
+    EXPECT_EQ(residual_ends, t + 1) << "t=" << t;
+  }
+
+  // Disabled sink: the whole solve takes the zero-overhead path.
+  sink.set_enabled(false);
+  Vector x(f.b.size(), 0.0);
+  mg.solve(f.b, x, 2);
+  EXPECT_TRUE(sink.drain().empty());
+}
+
 TEST(ServiceTelemetry, MergedStatsJsonCarriesCacheAndLatencyMetrics) {
   TelemetrySink sink;
   ServiceOptions so;

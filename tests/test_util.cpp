@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -204,6 +205,30 @@ TEST(Stats, RunningMatchesBatch) {
   EXPECT_NEAR(rs.mean(), mean(xs), 1e-10);
   EXPECT_NEAR(rs.variance(), variance(xs), 1e-8);
   EXPECT_EQ(rs.count(), 500u);
+}
+
+TEST(Stats, RecentSamplesKeepsOnlyTheLastCapacity) {
+  constexpr std::size_t kCap = 100;
+  constexpr std::size_t kExtra = 37;
+  RecentSamples ring(kCap);
+  EXPECT_TRUE(ring.samples().empty());
+  for (std::size_t i = 0; i < kCap + kExtra; ++i) {
+    ring.add(static_cast<double>(i));
+    EXPECT_EQ(ring.samples().size(), std::min(i + 1, kCap));
+  }
+  EXPECT_EQ(ring.capacity(), kCap);
+  // The window is exactly the last kCap samples: kExtra .. kCap+kExtra-1.
+  std::vector<double> kept = ring.samples();
+  std::sort(kept.begin(), kept.end());
+  for (std::size_t j = 0; j < kCap; ++j) {
+    EXPECT_EQ(kept[j], static_cast<double>(kExtra + j));
+  }
+  EXPECT_DOUBLE_EQ(percentile(ring.samples(), 50.0),
+                   static_cast<double>(kExtra) + 0.5 * (kCap - 1));
+  EXPECT_DOUBLE_EQ(percentile(ring.samples(), 95.0),
+                   static_cast<double>(kExtra) + 0.95 * (kCap - 1));
+  EXPECT_DOUBLE_EQ(percentile(ring.samples(), 0.0), static_cast<double>(kExtra));
+  EXPECT_THROW(RecentSamples(0), std::invalid_argument);
 }
 
 TEST(Cli, ParsesAllForms) {

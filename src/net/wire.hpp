@@ -34,7 +34,10 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x314D4761u;  // "aMG1"
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Version 2: SolveRequestMsg::hierarchy carries the binary hierarchy
+/// container (amg/serialize.hpp) instead of text, so a worker of another
+/// version is turned away at the Hello handshake, not mid-solve.
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Upper bound on a payload; longer length prefixes are treated as
 /// corruption (protects the reassembly buffer from a hostile length).
@@ -182,7 +185,10 @@ struct SolveRequestMsg {
   /// many corrections (-1 = never) -- a deterministic stand-in for SIGKILL
   /// in crash-recovery tests.
   std::int32_t crash_after = -1;
-  std::string hierarchy;  // save_hierarchy_string bytes
+  /// save_hierarchy_string bytes: the binary, checksummed container of
+  /// amg/serialize.hpp (raw little-endian CSR arrays at their stored
+  /// width), shipped opaque; the worker validates it on load.
+  std::string hierarchy;
   std::vector<double> b;
   std::vector<double> x0;
 };

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "sparse/csr.hpp"
+#include "util/hash.hpp"
 
 namespace asyncmg {
 
@@ -27,10 +28,6 @@ struct MatrixFingerprint {
 };
 
 MatrixFingerprint matrix_fingerprint(const CsrMatrix& a);
-
-/// FNV-1a over an arbitrary byte range, seedable for chaining.
-std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
-                          std::uint64_t seed = 14695981039346656037ull);
 
 struct MatrixFingerprintHasher {
   std::size_t operator()(const MatrixFingerprint& f) const {

@@ -1,5 +1,6 @@
 #include "service/hierarchy_cache.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -76,18 +77,23 @@ std::shared_ptr<const MgSetup> HierarchyCache::resolve_locked(
   cache_mark(opts_.telemetry, EventKind::kCacheMiss, "cache.misses", 0);
   std::shared_ptr<const MgSetup> setup;
   if (auto sp = spilled_.find(key); sp != spilled_.end()) {
-    std::ifstream f(sp->second);
-    if (f) {
-      std::string bytes((std::istreambuf_iterator<char>(f)),
-                        std::istreambuf_iterator<char>());
+    std::ifstream f(sp->second, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    try {
       setup = std::make_shared<MgSetup>(load_hierarchy_string(bytes), opts_.mg);
-      ++stats_.spill_loads;
-      cache_mark(opts_.telemetry, EventKind::kCacheSpillLoad,
-                 "cache.spill_loads", bytes.size());
-      add_entry_locked(key, setup);
-    } else {
-      spilled_.erase(sp);  // file vanished; caller falls back to a build
+    } catch (const std::exception&) {
+      // Missing (reads as empty), truncated or corrupt spill file: forget
+      // it and let the caller rebuild; a bad file on disk is never a
+      // client error.
+      std::remove(sp->second.c_str());
+      spilled_.erase(sp);
+      return nullptr;
     }
+    ++stats_.spill_loads;
+    cache_mark(opts_.telemetry, EventKind::kCacheSpillLoad,
+               "cache.spill_loads", bytes.size());
+    add_entry_locked(key, setup);
   }
   return setup;
 }
@@ -150,11 +156,12 @@ void HierarchyCache::evict_one_locked() {
   auto it = map_.find(key);
   if (!opts_.spill_dir.empty() && !spilled_.contains(key)) {
     const std::string path = spill_path(key);
-    std::ofstream f(path);
-    if (!f) {
+    const std::string bytes =
+        save_hierarchy_string(it->second.setup->hierarchy());
+    std::ofstream f(path, std::ios::binary);
+    if (!f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
       throw std::runtime_error("HierarchyCache: cannot spill to " + path);
     }
-    f << save_hierarchy_string(it->second.setup->hierarchy());
     spilled_.emplace(key, path);
     ++stats_.spill_writes;
     cache_mark(opts_.telemetry, EventKind::kCacheSpillWrite,

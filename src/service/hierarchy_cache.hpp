@@ -14,7 +14,9 @@
 // <spill_dir>/<fingerprint>.amgh first, and a later request for the same
 // matrix rebuilds the setup from that file instead of re-running the AMG
 // setup phase -- smoothers and derived interpolants are recomputed, the
-// expensive coarsening/SpGEMM chain is not.
+// expensive coarsening/SpGEMM chain is not. A spill file that is missing,
+// truncated or fails the container's checks is deleted and the setup is
+// rebuilt, so a bad file on disk costs a setup phase, never a failed request.
 //
 // All public methods are thread-safe behind one mutex; a build or spill
 // load runs under the lock, so concurrent requests for the same matrix do

@@ -1,6 +1,8 @@
 #include "sparse/io.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,16 +40,30 @@ CsrMatrix read_matrix_market(std::istream& in) {
   if (!(dims >> rows >> cols >> nnz)) {
     throw std::runtime_error("mm: bad dimension line");
   }
+  constexpr long long kMaxSize = std::numeric_limits<Index>::max();
+  if (rows < 0 || cols < 0 || nnz < 0 || rows >= kMaxSize ||
+      cols >= kMaxSize || nnz >= kMaxSize) {
+    throw std::runtime_error("mm: dimensions out of range");
+  }
+  // The header is one untrusted line: reserve at most a modest prefix and
+  // let the array grow with the entries actually read.
+  constexpr long long kMaxReserve = 1 << 20;
+  const bool symmetric = sym == "symmetric";
   std::vector<Triplet> trips;
-  trips.reserve(static_cast<std::size_t>(sym == "symmetric" ? 2 * nnz : nnz));
+  trips.reserve(static_cast<std::size_t>(
+      std::min(symmetric ? 2 * nnz : nnz, kMaxReserve)));
   for (long long k = 0; k < nnz; ++k) {
     long long i = 0, j = 0;
     double v = 0.0;
     if (!(in >> i >> j >> v)) throw std::runtime_error("mm: truncated entries");
+    // Range-check the 1-based indices before narrowing to Index.
+    if (i < 1 || i > rows || j < 1 || j > cols) {
+      throw std::runtime_error("mm: entry index out of range");
+    }
     const auto r = static_cast<Index>(i - 1);
     const auto c = static_cast<Index>(j - 1);
     trips.push_back({r, c, v});
-    if (sym == "symmetric" && r != c) trips.push_back({c, r, v});
+    if (symmetric && r != c) trips.push_back({c, r, v});
   }
   return CsrMatrix::from_triplets(static_cast<Index>(rows),
                                   static_cast<Index>(cols), std::move(trips));

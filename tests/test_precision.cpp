@@ -313,8 +313,8 @@ TEST(PrecisionCache, DemotedSetupIsSmallerAndResidencyImproves) {
 }
 
 TEST(PrecisionCache, SpillReloadMatchesFreshBuildExactly) {
-  // Spilled fp32 levels are written as exactly-widened doubles and demoted
-  // again on load, so a reloaded setup must equal a fresh build bit for bit.
+  // Spilled fp32 levels are stored at their fp32 width, so a reloaded setup
+  // must equal a fresh build bit for bit.
   Problem prob = make_laplace_7pt(9);
   const Hierarchy fresh =
       Hierarchy::build(prob.a, f32coarse_amg_options());

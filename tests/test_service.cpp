@@ -7,6 +7,7 @@
 #include <barrier>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <string>
@@ -226,6 +227,60 @@ TEST(HierarchyCache, SpilledHierarchyReloadsWithIdenticalConvergence) {
   for (std::size_t i = 0; i < rhs.size(); ++i) {
     EXPECT_NEAR(x2[i], x_ref[i], 1e-12);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(HierarchyCache, CorruptSpillFilesFallBackToRebuild) {
+  const std::string dir = "asyncmg_cache_corrupt_spill_test";
+  std::filesystem::create_directories(dir);
+
+  HierarchyCacheOptions co;
+  co.mg = test_mg_options();
+  co.max_bytes = 1;  // every insert evicts (and spills) the previous entry
+  co.spill_dir = dir;
+  HierarchyCache cache(co);
+
+  Problem a = make_laplace_7pt(7);
+  Problem b = make_laplace_7pt(6);
+  Problem c = make_laplace_7pt(5);
+  Problem d = make_laplace_7pt(4);
+  for (const Problem* p : {&a, &b, &c, &d}) cache.get_or_build(p->a);
+  ASSERT_EQ(cache.stats().spill_writes, 3u);  // A, B and C are on disk
+
+  // Truncate A's spill file, flip one bit in the middle of B's and delete
+  // C's.
+  const auto spill_file = [&](const CsrMatrix& m) {
+    return dir + "/" + matrix_fingerprint(m).to_string() + ".amgh";
+  };
+  const std::string path_a = spill_file(a.a);
+  const std::string path_b = spill_file(b.a);
+  ASSERT_TRUE(std::filesystem::exists(path_a));
+  ASSERT_TRUE(std::filesystem::exists(path_b));
+  ASSERT_TRUE(std::filesystem::remove(spill_file(c.a)));
+  std::filesystem::resize_file(path_a,
+                               std::filesystem::file_size(path_a) / 2);
+  {
+    std::fstream f(path_b, std::ios::in | std::ios::out | std::ios::binary);
+    const auto mid = static_cast<std::streamoff>(
+        std::filesystem::file_size(path_b) / 2);
+    f.seekg(mid);
+    const char byte = static_cast<char>(f.get() ^ 0x10);
+    f.seekp(mid);
+    f.put(byte);
+  }
+
+  const HierarchyCacheStats before = cache.stats();
+  for (const Problem* p : {&a, &b, &c}) {
+    bool hit = true;
+    std::shared_ptr<const MgSetup> setup;
+    ASSERT_NO_THROW(setup = cache.get_or_build(p->a, &hit));
+    EXPECT_FALSE(hit);
+    ASSERT_TRUE(setup);
+    EXPECT_EQ(setup->a(0).rows(), p->a.rows());
+  }
+  const HierarchyCacheStats after = cache.stats();
+  EXPECT_EQ(after.setups_built, before.setups_built + 3);
+  EXPECT_EQ(after.spill_loads, before.spill_loads);
   std::filesystem::remove_all(dir);
 }
 

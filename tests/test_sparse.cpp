@@ -241,6 +241,37 @@ TEST(Io, RejectsBadBanner) {
   EXPECT_THROW(read_matrix_market(ss), std::runtime_error);
 }
 
+TEST(Io, HugeNnzHeaderOnEmptyBodyThrowsWithoutReserving) {
+  // A one-line header claiming ~2^31 entries must not reserve gigabytes up
+  // front; the empty body then fails as truncated.
+  std::stringstream ss;
+  ss << "%%MatrixMarket matrix coordinate real symmetric\n"
+     << "4 4 2147483646\n";
+  EXPECT_THROW(read_matrix_market(ss), std::runtime_error);
+}
+
+TEST(Io, RejectsOversizedOrNegativeDimensions) {
+  for (const char* dims : {"3000000000 4 1", "4 2147483647 1", "-1 4 1",
+                           "4 4 -3", "4 4 2147483647"}) {
+    std::stringstream ss;
+    ss << "%%MatrixMarket matrix coordinate real general\n"
+       << dims << "\n1 1 1.0\n";
+    EXPECT_THROW(read_matrix_market(ss), std::runtime_error) << dims;
+  }
+}
+
+TEST(Io, RejectsIndexThatWouldWrapOnNarrowing) {
+  // 2^32 + 1 narrows to 1 as a 32-bit index (row 0 after the 1-based
+  // shift); it must be rejected as out of range, not wrapped.
+  for (const char* entry : {"4294967297 1 1.0", "1 4294967297 1.0",
+                            "0 1 1.0", "1 5 1.0", "5 1 1.0"}) {
+    std::stringstream ss;
+    ss << "%%MatrixMarket matrix coordinate real general\n"
+       << "4 4 1\n" << entry << "\n";
+    EXPECT_THROW(read_matrix_market(ss), std::runtime_error) << entry;
+  }
+}
+
 TEST(Io, VectorRoundTrip) {
   Rng rng(52);
   const Vector v = random_vector(13, rng);

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -137,6 +140,15 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   if (b.size() != static_cast<std::size_t>(plan.n) || x.size() != b.size()) {
     throw std::invalid_argument("ClusterCoordinator: b/x size mismatch");
   }
+  // A NaN/Inf would run all t_max rounds on every worker and come back
+  // unconverged; reject it before any connection or request bytes exist.
+  const auto finite = [](const Vector& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double e) { return std::isfinite(e); });
+  };
+  if (!finite(b) || !finite(x)) {
+    throw std::invalid_argument("ClusterCoordinator: non-finite value in b/x0");
+  }
 
   Timer timer;
   ClusterResult res;
@@ -192,6 +204,23 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   std::vector<SolveDoneMsg> results(N);
   std::atomic<std::uint64_t> relayed{0};
   std::mutex bc_mu;
+  // The monitor sleeps on settle_cv between heartbeat checks; a worker
+  // turning done or dead notifies it, so the solve ends on the last
+  // kSolveDone rather than on the monitor's next tick.
+  std::mutex settle_mu;
+  std::condition_variable settle_cv;
+  const auto all_settled = [&] {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (!done[i].load() && !dead[i].load()) return false;
+    }
+    return true;
+  };
+  // done/dead are atomics written before this; taking settle_mu orders the
+  // write against a monitor between its predicate check and its wait.
+  const auto notify_settled = [&] {
+    { std::lock_guard<std::mutex> lock(settle_mu); }
+    settle_cv.notify_all();
+  };
 
   auto mark_dead = [&](std::size_t i) {
     std::vector<std::size_t> targets;
@@ -205,6 +234,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
         }
       }
     }
+    notify_settled();
     // Cut the dead worker loose FIRST: shutdown_both unblocks any relayer
     // mid-send to it and forces its reader out of poll, so the recovery
     // path never waits on the very connection that stopped draining. A
@@ -281,6 +311,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
           case MsgType::kSolveDone: {
             results[i] = decode_solve_done(payload);
             done[i].store(true);
+            notify_settled();
             return;
           }
           default:
@@ -297,21 +328,23 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   readers.reserve(N);
   for (std::size_t i = 0; i < N; ++i) readers.emplace_back(reader, i);
 
-  // Monitor: heartbeat-recency dead-peer detection.
+  // Monitor: heartbeat-recency dead-peer detection every 5 ms, ending as
+  // soon as every worker is done or dead. The scan runs outside settle_mu
+  // because mark_dead takes it to notify.
   const auto timeout_ns = static_cast<std::int64_t>(
       opts_.heartbeat_timeout_ms * 1e6);
   for (;;) {
-    bool all_settled = true;
     for (std::size_t i = 0; i < N; ++i) {
       if (done[i].load() || dead[i].load()) continue;
-      all_settled = false;
       if (now_ns() - last_seen[i].load(std::memory_order_relaxed) >
           timeout_ns) {
         mark_dead(i);
       }
     }
-    if (all_settled) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::unique_lock<std::mutex> lock(settle_mu);
+    if (settle_cv.wait_for(lock, std::chrono::milliseconds(5), all_settled)) {
+      break;
+    }
   }
   for (std::thread& t : readers) t.join();
 

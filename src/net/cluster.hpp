@@ -103,7 +103,9 @@ class ClusterCoordinator {
 
   /// Solves A x = b across the workers (shard count = endpoint count); x is
   /// updated in place. Throws SocketError when a worker cannot be reached
-  /// within connect_attempts.
+  /// within connect_attempts, and std::invalid_argument -- before dialing
+  /// any worker -- on bad options, a b/x size mismatch or a NaN/Inf in b or
+  /// x.
   ClusterResult solve(const MgSetup& setup, const Vector& b, Vector& x,
                       const ClusterSolveOptions& so);
 

@@ -5,9 +5,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -173,22 +176,48 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
 // FrameConn
 // ---------------------------------------------------------------------------
 
-FrameConn::FrameConn(Socket sock) : sock_(std::move(sock)) {}
+FrameConn::FrameConn(Socket sock)
+    : sock_(std::move(sock)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (wake_fd_ < 0) throw SocketError(errno_str("eventfd"));
+}
+
+FrameConn::~FrameConn() { ::close(wake_fd_); }
 
 void FrameConn::shutdown_both() {
   if (sock_.valid()) ::shutdown(sock_.fd(), SHUT_RDWR);
 }
 
+void FrameConn::wake() {
+  const std::uint64_t one = 1;
+  // Only EAGAIN (counter saturated, a wake already pending) can fail here.
+  (void)!::write(wake_fd_, &one, sizeof(one));
+}
+
 bool FrameConn::send_frame(MsgType type,
                            const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
+  const auto header =
+      encode_frame_header(type, payload.data(), payload.size());
+  const std::size_t total = header.size() + payload.size();
   std::lock_guard<std::mutex> lock(send_mu_);
   if (!sock_.valid() || peer_gone_) return false;
   std::size_t off = 0;
-  while (off < frame.size()) {
+  while (off < total) {
+    iovec iov[2];
+    msghdr msg{};
+    msg.msg_iov = iov;
+    if (off < header.size()) {
+      iov[msg.msg_iovlen++] = {const_cast<std::uint8_t*>(header.data()) + off,
+                               header.size() - off};
+    }
+    const std::size_t poff = off > header.size() ? off - header.size() : 0;
+    if (poff < payload.size()) {
+      iov[msg.msg_iovlen++] = {
+          const_cast<std::uint8_t*>(payload.data()) + poff,
+          payload.size() - poff};
+    }
     // MSG_NOSIGNAL: a dead peer yields EPIPE instead of killing the process.
-    const ssize_t n = ::send(sock_.fd(), frame.data() + off,
-                             frame.size() - off, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(sock_.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       peer_gone_ = true;
@@ -196,7 +225,7 @@ bool FrameConn::send_frame(MsgType type,
     }
     off += static_cast<std::size_t>(n);
   }
-  bytes_sent_ += frame.size();
+  bytes_sent_ += total;
   ++frames_sent_;
   return true;
 }
@@ -204,47 +233,70 @@ bool FrameConn::send_frame(MsgType type,
 RecvStatus FrameConn::recv_frame(MsgType& type,
                                  std::vector<std::uint8_t>& payload,
                                  int timeout_ms) {
+  constexpr std::size_t kMinRecv = 65536;
   const bool has_deadline = timeout_ms >= 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(has_deadline ? timeout_ms : 0);
+  // Compact once per call: frames returned by earlier calls are dropped
+  // from the front (usually nothing is left, so this moves no bytes).
+  if (rbeg_ > 0) {
+    std::copy(rbuf_.get() + rbeg_, rbuf_.get() + rend_, rbuf_.get());
+    rend_ -= rbeg_;
+    rbeg_ = 0;
+  }
   for (;;) {
     // Try to peel a complete frame off the reassembly buffer first.
-    if (rbuf_.size() >= kFrameHeaderBytes) {
-      const FrameHeader h = decode_frame_header(rbuf_.data(), rbuf_.size());
+    const std::size_t avail = rend_ - rbeg_;
+    if (avail >= kFrameHeaderBytes) {
+      const std::uint8_t* head = rbuf_.get() + rbeg_;
+      const FrameHeader h = decode_frame_header(head, avail);
       const std::size_t total = kFrameHeaderBytes + h.payload_len;
-      if (rbuf_.size() >= total) {
-        verify_frame_payload(h, rbuf_.data() + kFrameHeaderBytes);
+      if (avail >= total) {
+        verify_frame_payload(h, head + kFrameHeaderBytes);
         type = h.type;
-        payload.assign(rbuf_.begin() + kFrameHeaderBytes,
-                       rbuf_.begin() + static_cast<std::ptrdiff_t>(total));
-        rbuf_.erase(rbuf_.begin(), rbuf_.begin() +
-                                       static_cast<std::ptrdiff_t>(total));
+        payload.assign(head + kFrameHeaderBytes, head + total);
+        rbeg_ += total;
         ++frames_received_;
         return RecvStatus::kFrame;
       }
     }
     if (!sock_.valid()) return RecvStatus::kClosed;
 
-    pollfd pfd{};
-    pfd.fd = sock_.fd();
-    pfd.events = POLLIN;
+    pollfd pfd[2]{};
+    pfd[0].fd = sock_.fd();
+    pfd[0].events = POLLIN;
+    pfd[1].fd = wake_fd_;
+    pfd[1].events = POLLIN;
     const int wait = remaining_ms(deadline, has_deadline);
-    const int rc = ::poll(&pfd, 1, wait);
+    const int rc = ::poll(pfd, 2, wait);
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw SocketError(errno_str("poll"));
     }
     if (rc == 0) return RecvStatus::kTimeout;
+    if (pfd[1].revents != 0) {
+      std::uint64_t wakes = 0;
+      (void)!::read(wake_fd_, &wakes, sizeof(wakes));  // consume the wake
+      return RecvStatus::kTimeout;
+    }
 
-    std::uint8_t chunk[65536];
-    const ssize_t n = ::recv(sock_.fd(), chunk, sizeof(chunk), 0);
+    // Receive straight into the buffer's tail. Room grows geometrically
+    // with the bytes that actually arrived, never with a header's claim.
+    if (rcap_ - rend_ < kMinRecv) {
+      const std::size_t cap = std::max(rend_ + kMinRecv, 2 * rcap_);
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+      std::copy(rbuf_.get(), rbuf_.get() + rend_, grown.get());
+      rbuf_ = std::move(grown);
+      rcap_ = cap;
+    }
+    const ssize_t n = ::recv(sock_.fd(), rbuf_.get() + rend_, rcap_ - rend_, 0);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return RecvStatus::kClosed;  // ECONNRESET et al.
     }
     if (n == 0) return RecvStatus::kClosed;  // orderly EOF
     bytes_received_ += static_cast<std::uint64_t>(n);
-    rbuf_.insert(rbuf_.end(), chunk, chunk + n);
+    rend_ += static_cast<std::size_t>(n);
   }
 }
 

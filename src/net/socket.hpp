@@ -8,9 +8,13 @@
 // Concurrency: FrameConn serializes writers through a mutex (the worker's
 // solver thread and heartbeat thread share one connection to the router) and
 // assumes a single reader thread, which is how every user is structured
-// (one reader loop per connection).
+// (one reader loop per connection). Any thread may wake() the reader: each
+// FrameConn owns an eventfd that recv_frame polls beside the socket, so a
+// reader can block until data OR an event arrives instead of polling on a
+// timer.
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -87,18 +91,29 @@ enum class RecvStatus {
 class FrameConn {
  public:
   explicit FrameConn(Socket sock);
+  ~FrameConn();
+  FrameConn(const FrameConn&) = delete;
+  FrameConn& operator=(const FrameConn&) = delete;
 
-  /// Encodes and writes one frame. Thread-safe (internal mutex); blocks
+  /// Writes one frame: header and payload leave in one sendmsg of two
+  /// iovecs, with no whole-frame copy. Thread-safe (internal mutex); blocks
   /// until the frame is fully written. Returns false when the peer is gone
   /// (EPIPE / reset) -- senders treat that as a dead peer, never an error.
   bool send_frame(MsgType type, const std::vector<std::uint8_t>& payload);
 
   /// Reads until one complete frame is available or `timeout_ms` elapses
   /// (-1 = forever). On kFrame fills `type` and `payload` (checksum already
-  /// verified). Throws WireError on protocol violations (bad magic, bad
-  /// checksum, oversized length) -- callers drop the connection.
+  /// verified). A pending wake() ends the wait with kTimeout at once and is
+  /// consumed by it; a complete frame already buffered is returned first.
+  /// Throws WireError on protocol violations (bad magic, bad checksum,
+  /// oversized length) -- callers drop the connection.
   RecvStatus recv_frame(MsgType& type, std::vector<std::uint8_t>& payload,
                         int timeout_ms);
+
+  /// Makes a concurrent recv_frame, or the next one if none is waiting,
+  /// return kTimeout without waiting. Wakes coalesce until a recv_frame
+  /// consumes them. Safe from any thread.
+  void wake();
 
   bool open() const { return sock_.valid() && !peer_gone_; }
   void close() { sock_.close(); }
@@ -118,7 +133,13 @@ class FrameConn {
   Socket sock_;
   std::mutex send_mu_;
   bool peer_gone_ = false;
-  std::vector<std::uint8_t> rbuf_;  // unconsumed reassembly bytes
+  int wake_fd_ = -1;  // eventfd behind wake()
+  // Reassembly buffer of rcap_ bytes: [rbeg_, rend_) is received but
+  // unconsumed, [rend_, rcap_) is room for the next recv.
+  std::unique_ptr<std::uint8_t[]> rbuf_;
+  std::size_t rcap_ = 0;
+  std::size_t rbeg_ = 0;
+  std::size_t rend_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t frames_sent_ = 0;

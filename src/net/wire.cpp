@@ -1,7 +1,10 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#include "util/hash.hpp"
 
 namespace asyncmg {
 
@@ -151,11 +154,7 @@ void WireReader::expect_end() const {
 }
 
 std::uint32_t wire_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;  // FNV prime
-  }
+  const std::uint64_t h = fnv1a_bytes(data, size);
   return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
@@ -163,9 +162,9 @@ std::uint32_t wire_checksum(const std::uint8_t* data, std::size_t size) {
 // Frames
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_frame(
-    MsgType type, const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxPayloadBytes) {
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    MsgType type, const std::uint8_t* payload, std::size_t size) {
+  if (size > kMaxPayloadBytes) {
     throw WireError("payload exceeds kMaxPayloadBytes");
   }
   WireWriter w;
@@ -173,10 +172,20 @@ std::vector<std::uint8_t> encode_frame(
   w.u8(kWireVersion);
   w.u8(static_cast<std::uint8_t>(type));
   w.u16(0);  // reserved
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(wire_checksum(payload.data(), payload.size()));
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
+  w.u32(static_cast<std::uint32_t>(size));
+  w.u32(wire_checksum(payload, size));
+  std::array<std::uint8_t, kFrameHeaderBytes> out{};
+  std::copy(w.bytes().begin(), w.bytes().end(), out.begin());
+  return out;
+}
+
+std::vector<std::uint8_t> encode_frame(
+    MsgType type, const std::vector<std::uint8_t>& payload) {
+  const auto header = encode_frame_header(type, payload.data(), payload.size());
+  std::vector<std::uint8_t> out(header.size() + payload.size());
+  std::copy(header.begin(), header.end(), out.begin());
+  std::copy(payload.begin(), payload.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(header.size()));
   return out;
 }
 

@@ -3,7 +3,10 @@
 // service (DESIGN.md section 14). Every message is one frame:
 //
 //   [u32 magic "aMG1"] [u8 version] [u8 type] [u16 reserved = 0]
-//   [u32 payload_len]  [u32 payload FNV-1a-32 checksum] [payload bytes]
+//   [u32 payload_len]  [u32 payload checksum] [payload bytes]
+//
+// The checksum is the word-wise FNV-1a-64 of util/hash over the payload,
+// folded to 32 bits (high half XOR low half).
 //
 // All integers are little-endian ON THE WIRE regardless of host order --
 // encode/decode goes through explicit byte shifts, never memcpy of host
@@ -18,6 +21,7 @@
 // never read out of bounds (the fuzz suite in tests/test_net.cpp runs these
 // decoders under ASan/UBSan on random truncations and bit flips).
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -35,9 +39,11 @@ class WireError : public std::runtime_error {
 
 inline constexpr std::uint32_t kWireMagic = 0x314D4761u;  // "aMG1"
 /// Version 2: SolveRequestMsg::hierarchy carries the binary hierarchy
-/// container (amg/serialize.hpp) instead of text, so a worker of another
-/// version is turned away at the Hello handshake, not mid-solve.
-inline constexpr std::uint8_t kWireVersion = 2;
+/// container (amg/serialize.hpp) instead of text. Version 3: the frame
+/// checksum is the word-wise fnv1a_bytes (util/hash) folded to 32 bits, so
+/// every v2 checksum differs. A worker of another version is turned away at
+/// the Hello handshake, not mid-solve.
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Upper bound on a payload; longer length prefixes are treated as
 /// corruption (protects the reassembly buffer from a hostile length).
@@ -116,7 +122,7 @@ class WireReader {
   std::size_t off_ = 0;
 };
 
-/// FNV-1a over a byte range, folded to 32 bits (frame checksum).
+/// Frame checksum: fnv1a_bytes (word-wise FNV-1a-64) folded to 32 bits.
 std::uint32_t wire_checksum(const std::uint8_t* data, std::size_t size);
 
 // ---------------------------------------------------------------------------
@@ -128,6 +134,11 @@ struct FrameHeader {
   std::uint32_t payload_len = 0;
   std::uint32_t checksum = 0;
 };
+
+/// The 16-byte header of a frame carrying `size` payload bytes (checksum
+/// included). Throws WireError when `size` exceeds kMaxPayloadBytes.
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    MsgType type, const std::uint8_t* payload, std::size_t size);
 
 /// Serializes header + payload into one contiguous wire frame.
 std::vector<std::uint8_t> encode_frame(MsgType type,

@@ -1,6 +1,8 @@
 #include "net/workerd.hpp"
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -200,37 +202,51 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
   wo.faults = req.crash_after >= 0 ? &faults : nullptr;
   wo.telemetry = opts_.telemetry;
 
-  std::atomic<bool> done{false};
+  // Completion is an event, not a polled flag: the solver thread sets
+  // `done`, wakes the heartbeat thread through done_cv and the reader
+  // through conn.wake(), so neither waits out a timer after the last round.
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  bool done = false;
+  const auto finished = [&] {
+    std::lock_guard<std::mutex> lock(done_mu);
+    return done;
+  };
   ShardWorkerResult result;
   std::thread solver([&] {
     result = run_shard_worker(plan, corrector, req.b, x_local, r_view,
                               transport, board, wo);
-    done.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(done_mu);
+      done = true;
+    }
+    done_cv.notify_all();
+    conn.wake();
   });
   std::thread heartbeat([&] {
+    const auto period =
+        std::chrono::duration<double, std::milli>(opts_.heartbeat_ms);
     std::uint64_t seq = 0;
-    while (!done.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lock(done_mu);
+    while (!done) {
+      lock.unlock();
       HeartbeatMsg hb;
       hb.shard = static_cast<std::uint32_t>(s);
       hb.commits = static_cast<std::uint64_t>(board.commits(s));
       hb.seq = seq++;
       conn.send_frame(MsgType::kHeartbeat, encode_heartbeat(hb));
-      // Sleep in short slices so the thread ends promptly with the solve.
-      double slept = 0.0;
-      while (slept < opts_.heartbeat_ms &&
-             !done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        slept += 5.0;
-      }
+      lock.lock();
+      done_cv.wait_for(lock, period, [&] { return done; });
     }
   });
 
   // Reader: feed the data plane (halo frames) and the control plane
-  // (progress, peer deaths) until the solver finishes.
+  // (progress, peer deaths) until the solver finishes. It blocks on the
+  // socket; the solver's conn.wake() ends the wait with kTimeout.
   MsgType type{};
   std::vector<std::uint8_t> payload;
   bool coordinator_gone = false;
-  while (!done.load(std::memory_order_acquire)) {
+  while (!finished()) {
     // The whole receive + decode + dispatch step runs under the try: the
     // solver and heartbeat threads are joinable here, so no exception may
     // unwind past this loop (that would std::terminate the daemon). A
@@ -240,7 +256,7 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
     // connection.
     bool lost = false;
     try {
-      const RecvStatus st = conn.recv_frame(type, payload, 20);
+      const RecvStatus st = conn.recv_frame(type, payload, -1);
       if (st == RecvStatus::kTimeout) continue;
       if (st == RecvStatus::kClosed) {
         lost = true;

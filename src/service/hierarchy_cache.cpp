@@ -159,13 +159,23 @@ void HierarchyCache::evict_one_locked() {
     const std::string bytes =
         save_hierarchy_string(it->second.setup->hierarchy());
     std::ofstream f(path, std::ios::binary);
-    if (!f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
-      throw std::runtime_error("HierarchyCache: cannot spill to " + path);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    f.close();
+    if (f.fail()) {
+      // Unwritable spill directory or full disk: drop any partial file and
+      // evict without spilling, so a later request for it rebuilds. The
+      // request that triggered the eviction never sees the failure.
+      std::remove(path.c_str());
+      ++stats_.spill_failures;
+      if (opts_.telemetry != nullptr && opts_.telemetry->enabled()) {
+        opts_.telemetry->metrics().counter("cache.spill_failures").add(1);
+      }
+    } else {
+      spilled_.emplace(key, path);
+      ++stats_.spill_writes;
+      cache_mark(opts_.telemetry, EventKind::kCacheSpillWrite,
+                 "cache.spill_writes", it->second.bytes);
     }
-    spilled_.emplace(key, path);
-    ++stats_.spill_writes;
-    cache_mark(opts_.telemetry, EventKind::kCacheSpillWrite,
-               "cache.spill_writes", it->second.bytes);
   }
   cache_mark(opts_.telemetry, EventKind::kCacheEvict, "cache.evictions",
              it->second.bytes);

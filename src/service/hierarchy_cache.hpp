@@ -17,6 +17,9 @@
 // expensive coarsening/SpGEMM chain is not. A spill file that is missing,
 // truncated or fails the container's checks is deleted and the setup is
 // rebuilt, so a bad file on disk costs a setup phase, never a failed request.
+// Likewise a spill that cannot be written (unwritable directory, full disk)
+// is counted in `spill_failures`, its partial file removed, and the entry
+// evicted unspilled.
 //
 // All public methods are thread-safe behind one mutex; a build or spill
 // load runs under the lock, so concurrent requests for the same matrix do
@@ -41,7 +44,8 @@ struct HierarchyCacheOptions {
   /// resident even if it alone exceeds the budget.
   std::size_t max_bytes = 256ull << 20;
   /// When nonempty, evicted hierarchies are serialized here and reloaded on
-  /// a later request instead of rebuilt. The directory must exist.
+  /// a later request instead of rebuilt. The directory must exist; if it
+  /// cannot be written, entries are evicted without spilling.
   std::string spill_dir;
   /// Setup options applied when building (or rebuilding from spill).
   MgOptions mg;
@@ -58,6 +62,7 @@ struct HierarchyCacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t spill_writes = 0;
   std::uint64_t spill_loads = 0;  // misses served from disk
+  std::uint64_t spill_failures = 0;  // evictions whose spill write failed
   std::size_t resident_bytes = 0;
   std::size_t resident_entries = 0;
 };

@@ -80,6 +80,7 @@ std::string ServiceStats::to_json() const {
     << "\"evictions\":" << cache.evictions << ","
     << "\"spill_writes\":" << cache.spill_writes << ","
     << "\"spill_loads\":" << cache.spill_loads << ","
+    << "\"spill_failures\":" << cache.spill_failures << ","
     << "\"resident_bytes\":" << cache.resident_bytes << ","
     << "\"resident_entries\":" << cache.resident_entries << "},"
     << "\"latency_p50\":" << latency_p50 << ","

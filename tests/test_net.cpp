@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -307,6 +311,35 @@ TEST(WireFuzz, CorruptedFramesDetected) {
   }
 }
 
+TEST(WireFuzz, EveryBitFlipOfLargePayloadDetected) {
+  // The frame checksum is word-wise FNV-1a-64 folded to 32 bits: every
+  // single-bit flip anywhere in a 4 KiB payload (all 32768 of them) must
+  // fail verify_frame_payload.
+  Rng rng(17);
+  std::vector<std::uint8_t> payload(4096);
+  for (std::uint8_t& v : payload) {
+    v = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  const std::vector<std::uint8_t> frame =
+      encode_frame(MsgType::kStatsResponse, payload);
+  const FrameHeader h = decode_frame_header(frame.data(), frame.size());
+  ASSERT_EQ(h.payload_len, payload.size());
+  ASSERT_NO_THROW(verify_frame_payload(h, frame.data() + kFrameHeaderBytes));
+  std::size_t undetected = 0;
+  for (std::size_t byte = 0; byte < payload.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      payload[byte] = static_cast<std::uint8_t>(payload[byte] ^ (1u << bit));
+      try {
+        verify_frame_payload(h, payload.data());
+        ++undetected;
+      } catch (const WireError&) {
+      }
+      payload[byte] = static_cast<std::uint8_t>(payload[byte] ^ (1u << bit));
+    }
+  }
+  EXPECT_EQ(undetected, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Framed TCP connection
 // ---------------------------------------------------------------------------
@@ -369,6 +402,61 @@ struct ConnPair {
   ListenSocket listener;
   std::unique_ptr<FrameConn> a, b;
 };
+
+TEST(FrameConn, WakeInterruptsBlockingRecv) {
+  // A recv_frame with no deadline returns kTimeout once another thread
+  // wakes the connection. Broken, this hangs and the ctest timeout fails it.
+  ConnPair pair;
+  RecvStatus st = RecvStatus::kFrame;
+  std::thread reader([&] {
+    MsgType type{};
+    std::vector<std::uint8_t> payload;
+    st = pair.a->recv_frame(type, payload, -1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pair.a->wake();
+  reader.join();
+  EXPECT_EQ(st, RecvStatus::kTimeout);
+  EXPECT_TRUE(pair.a->open());
+
+  // The wake was consumed: the next call waits out its own deadline.
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(pair.a->recv_frame(type, payload, 30), RecvStatus::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(25));
+}
+
+TEST(FrameConn, WakeDoesNotDropBufferedFrame) {
+  // Two frames arrive in one segment, so after the first recv_frame the
+  // second sits complete in the reassembly buffer. A wake must not drop
+  // it: the next call returns it, and the call after that consumes the
+  // wake with kTimeout at once.
+  ConnPair pair;
+  std::vector<std::uint8_t> both =
+      encode_frame(MsgType::kHeartbeat, encode_heartbeat({1, 2, 3}));
+  const std::vector<std::uint8_t> second =
+      encode_frame(MsgType::kHeartbeat, encode_heartbeat({1, 2, 4}));
+  both.insert(both.end(), second.begin(), second.end());
+  ASSERT_EQ(::send(pair.b->fd(), both.data(), both.size(), 0),
+            static_cast<ssize_t>(both.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(pair.a->recv_frame(type, payload, 5000), RecvStatus::kFrame);
+  EXPECT_EQ(decode_heartbeat(payload).seq, 3u);
+  ASSERT_EQ(pair.a->bytes_received(), both.size());  // both frames buffered
+
+  pair.a->wake();
+  ASSERT_EQ(pair.a->recv_frame(type, payload, 5000), RecvStatus::kFrame);
+  EXPECT_EQ(decode_heartbeat(payload).seq, 4u);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(pair.a->recv_frame(type, payload, 5000), RecvStatus::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_EQ(pair.a->frames_received(), 2u);
+}
 
 TEST(NetTransport, MailboxFifoAndNewestWins) {
   ConnPair pair;
@@ -797,6 +885,27 @@ TEST(NetCluster, ConnectBacksOffThenFails) {
   ClusterSolveOptions cso;
   cso.t_max = 2;
   EXPECT_THROW(coordinator.solve(*f.setup, f.b, x, cso), SocketError);
+}
+
+TEST(NetCluster, NonFiniteInputRejectedBeforeConnecting) {
+  // A NaN/Inf in b or x0 is rejected like a size mismatch, before any
+  // worker is dialed: the endpoint below refuses connections, so reaching
+  // the connect step would throw SocketError instead.
+  ClusterOptions co;
+  co.endpoints = {{"127.0.0.1", 1}};
+  co.connect_attempts = 1;
+  ClusterCoordinator coordinator(co);
+  Fixture f;
+  ClusterSolveOptions cso;
+  cso.t_max = 2;
+  Vector b = f.b;
+  b[b.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  Vector x(f.b.size(), 0.0);
+  EXPECT_THROW(coordinator.solve(*f.setup, b, x, cso), std::invalid_argument);
+  x[0] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(coordinator.solve(*f.setup, f.b, x, cso),
+               std::invalid_argument);
+  EXPECT_EQ(x[0], std::numeric_limits<double>::infinity());  // untouched
 }
 
 TEST(NetCluster, StatsAndShutdownRoundTrip) {

@@ -755,6 +755,36 @@ TEST(SolveService, BoundedAdmissionQueueRejectsOverload) {
   EXPECT_EQ(st.queue_depth, 0u);
 }
 
+TEST(SolveService, UnwritableSpillDirNeverFailsARequest) {
+  // The spill directory sits under a regular file, so every spill write
+  // fails with ENOTDIR (even for root). Evictions must drop the entry
+  // unspilled and count the failure; no request may see it.
+  const std::string file = "asyncmg_unwritable_spill_test";
+  { std::ofstream(file) << "not a directory"; }
+  ServiceOptions so = small_service_options(2);
+  so.cache.max_bytes = 1;  // every new matrix evicts the previous one
+  so.cache.spill_dir = file + "/spill";
+  SolveService svc(so);
+
+  Problem a = make_laplace_7pt(7);
+  Problem b = make_laplace_7pt(6);
+  Problem c = make_laplace_7pt(5);
+  for (const Problem* p : {&a, &b, &c, &a}) {
+    const auto n = static_cast<std::size_t>(p->a.rows());
+    SolveResponse r;
+    ASSERT_NO_THROW(r = svc.submit(p->a, rhs_for(n, 3)).get());
+    EXPECT_LT(r.stats.final_rel_res(), 1e-8);
+  }
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.completed, 4u);
+  EXPECT_GT(st.cache.spill_failures, 0u);
+  EXPECT_EQ(st.cache.spill_writes, 0u);
+  EXPECT_EQ(st.cache.spill_loads, 0u);
+  EXPECT_EQ(st.cache.setups_built, 4u);  // the evicted `a` was rebuilt
+  EXPECT_NE(st.to_json().find("\"spill_failures\":"), std::string::npos);
+  std::filesystem::remove(file);
+}
+
 TEST(SolveService, StatsExportAsJson) {
   SolveService svc(small_service_options());
   Problem p = make_laplace_7pt(6);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "sparse/vec.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace asyncmg {
@@ -179,6 +180,30 @@ std::vector<double> AdditiveCorrector::work() const {
     w[k] = chain + smooth;
   }
   return w;
+}
+
+double additive_lambda_max(const AdditiveCorrector& corrector) {
+  constexpr int kIterations = 100;
+  const CsrMatrix& a = corrector.setup().a(0);
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  Rng rng(1);
+  Vector v = random_vector(n, rng);
+  Vector av, cav, c;
+  CorrectionScratch ws;
+  double lambda = 0.0;
+  for (int it = 0; it < kIterations; ++it) {
+    a.spmv(v, av);
+    cav.assign(n, 0.0);
+    corrector.accumulate_cycle(av, cav, 0, n, ws, c);
+    const double vav = dot(v, av);
+    if (!(vav > 0.0)) break;
+    lambda = dot(av, cav) / vav;
+    const double norm = norm2(cav);
+    if (!(norm > 0.0)) break;
+    scale(cav, 1.0 / norm);
+    v.swap(cav);
+  }
+  return lambda;
 }
 
 AdditiveMg::AdditiveMg(const MgSetup& setup, AdditiveOptions opts)

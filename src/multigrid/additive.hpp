@@ -87,6 +87,15 @@ class AdditiveCorrector {
   AdditiveOptions opts_;
 };
 
+/// Largest eigenvalue of C A, where C r = sum_k c_k(r) is one additive
+/// cycle's correction, estimated by 100 power-iteration steps on C A from a
+/// fixed random start, read off with the A-inner-product Rayleigh
+/// quotient. For BPX and Multadd C is symmetric positive definite, so C A
+/// is A-self-adjoint with a real positive spectrum and the estimate
+/// approaches lambda_max from below. AFACx's C is not symmetric; there the
+/// value is the Rayleigh quotient of the dominant direction, not a bound.
+double additive_lambda_max(const AdditiveCorrector& corrector);
+
 /// Synchronous additive driver: one "V-cycle" computes r = b - Ax once and
 /// adds every grid's correction (what the paper's sync Multadd / sync AFACx
 /// baselines do, minus threading).

@@ -72,6 +72,8 @@ struct ClusterSolveOptions {
   /// free-running asynchronous rounds.
   bool bsp = true;
   int t_max = 20;
+  /// Free-running only: the bounded-skew gate, which also sets the damping
+  /// of every correction (shard/worker.hpp ShardWorkerOptions::lambda_max).
   int max_lag = 3;
   std::uint64_t seed = 1;
   AdditiveOptions additive;

@@ -111,7 +111,8 @@ WorkerDaemon::SessionEnd WorkerDaemon::serve(FrameConn& conn) {
   }
 }
 
-const MgSetup& WorkerDaemon::setup_for(const SolveRequestMsg& req) {
+WorkerDaemon::CacheEntry& WorkerDaemon::setup_for(
+    const SolveRequestMsg& req) {
   std::uint64_t key =
       fnv1a_bytes(req.hierarchy.data(), req.hierarchy.size());
   const double omega = req.smoother_omega;
@@ -125,7 +126,7 @@ const MgSetup& WorkerDaemon::setup_for(const SolveRequestMsg& req) {
   for (CacheEntry& e : cache_) {
     if (e.key == key) {
       ++cache_hits_;
-      return *e.setup;
+      return e;
     }
   }
   ++cache_misses_;
@@ -142,11 +143,24 @@ const MgSetup& WorkerDaemon::setup_for(const SolveRequestMsg& req) {
     cache_.erase(cache_.begin());  // oldest
   }
   cache_.push_back(std::move(e));
-  return *cache_.back().setup;
+  return cache_.back();
+}
+
+double WorkerDaemon::lambda_max_for(CacheEntry& e,
+                                    const AdditiveCorrector& c) {
+  const AdditiveOptions& ao = c.options();
+  const std::array<int, 4> key{static_cast<int>(ao.kind), ao.afacx_s1,
+                               ao.afacx_s2, ao.symmetrized_lambda ? 1 : 0};
+  for (const auto& [k, lambda] : e.lambda_max) {
+    if (k == key) return lambda;
+  }
+  e.lambda_max.emplace_back(key, additive_lambda_max(c));
+  return e.lambda_max.back().second;
 }
 
 bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
-  const MgSetup& setup = setup_for(req);
+  CacheEntry& entry = setup_for(req);
+  const MgSetup& setup = *entry.setup;
   AdditiveOptions ao;
   ao.kind = static_cast<AdditiveKind>(req.additive_kind);
   ao.afacx_s1 = req.afacx_s1;
@@ -199,6 +213,9 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
   wo.t_max = req.t_max;
   wo.max_lag = req.max_lag;
   wo.bsp = req.bsp != 0;
+  if (!wo.bsp && req.num_shards > 1) {
+    wo.lambda_max = lambda_max_for(entry, corrector);
+  }
   wo.faults = req.crash_after >= 0 ? &faults : nullptr;
   wo.telemetry = opts_.telemetry;
 

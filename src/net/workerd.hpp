@@ -31,12 +31,15 @@
 // harness kills real processes instead; both end in the same EOF at the
 // coordinator.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "multigrid/additive.hpp"
 #include "multigrid/setup.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -92,7 +95,12 @@ class WorkerDaemon {
   /// Runs one solve over `conn`; false means the crash hook fired and the
   /// connection must be dropped without kSolveDone.
   bool handle_solve(FrameConn& conn, const SolveRequestMsg& req);
-  const MgSetup& setup_for(const SolveRequestMsg& req);
+  struct CacheEntry;
+  CacheEntry& setup_for(const SolveRequestMsg& req);
+  /// lambda_max(C A) for the request's additive options on `e`'s
+  /// hierarchy, estimated on first use and kept with the entry (only
+  /// free-running solves ask for it).
+  static double lambda_max_for(CacheEntry& e, const AdditiveCorrector& c);
 
   WorkerDaemonOptions opts_;
   ListenSocket listener_;
@@ -101,6 +109,8 @@ class WorkerDaemon {
   struct CacheEntry {
     std::uint64_t key = 0;
     std::unique_ptr<MgSetup> setup;
+    /// (kind, afacx_s1, afacx_s2, symmetrized_lambda) -> lambda_max(C A).
+    std::vector<std::pair<std::array<int, 4>, double>> lambda_max;
   };
   std::vector<CacheEntry> cache_;  // newest at the back
   std::uint64_t cache_hits_ = 0;

@@ -133,6 +133,10 @@ ShardedSolver::ShardedSolver(const MgSetup& setup, AdditiveOptions ao,
     : setup_(&setup), corrector_(setup, ao), opts_(so) {
   opts_.validate();
   plan_ = make_shard_plan(setup.a(0), opts_.num_shards);
+  // One shard reads only its own, always fresh, rows: nothing to damp.
+  if (opts_.mode == ShardMode::kAsynchronous && opts_.num_shards > 1) {
+    lambda_max_ = additive_lambda_max(corrector_);
+  }
 }
 
 void ShardedSolver::initial_residual(const Vector& b, const Vector& x,
@@ -314,6 +318,7 @@ ShardResult ShardedSolver::run_async(const Vector& b, Vector& x, bool bsp) {
     wo.shard = s;
     wo.t_max = opts_.t_max;
     wo.max_lag = opts_.max_lag;
+    wo.lambda_max = lambda_max_;
     wo.bsp = bsp;
     wo.faults = opts_.faults;
     wo.telemetry = opts_.telemetry;

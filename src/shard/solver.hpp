@@ -31,7 +31,10 @@
 //                  channel transport: stale halos, dropped exchanges (full
 //                  channels or FaultPlan drop-reads), Criterion-2 style
 //                  recovery -- a killed shard's block simply stops moving
-//                  and nobody deadlocks waiting for it.
+//                  and nobody deadlocks waiting for it. Corrections are
+//                  damped for the staleness max_lag admits (the only
+//                  damped mode; lambda_max(C A) is estimated once, at
+//                  construction).
 
 #include <cstdint>
 
@@ -77,7 +80,10 @@ struct ShardOptions {
   /// and convergence stalls (the divergence scenarios the scripted harness
   /// probes). Dead (killed / finished) peers are exempt, so Criterion-2
   /// recovery still holds, and the slowest live shard never waits, so the
-  /// gate cannot deadlock.
+  /// gate cannot deadlock. The lag also sets the damping of every
+  /// free-running correction: the stalest residual the gate admits is
+  /// max_lag + 1 corrections old, and the damping theta
+  /// (ShardWorkerOptions::lambda_max) shrinks as it grows.
   int max_lag = 3;
   /// kScripted: the interleaving to replay (events are (shard, read
   /// instant) pairs). Not owned; must outlive the call. When null, one is
@@ -152,6 +158,10 @@ class ShardedSolver {
   AdditiveCorrector corrector_;
   ShardOptions opts_;
   ShardPlan plan_;
+  /// lambda_max(C A), which sets the free-running damping
+  /// (ShardWorkerOptions::lambda_max); estimated once at construction for
+  /// multi-shard kAsynchronous, 0 (undamped) otherwise.
+  double lambda_max_ = 0.0;
 };
 
 }  // namespace asyncmg

@@ -1,6 +1,8 @@
 #include "shard/worker.hpp"
 
 #include <chrono>
+#include <cmath>
+#include <numbers>
 #include <thread>
 
 #include "telemetry/sink.hpp"
@@ -31,6 +33,17 @@ bool await_frame(Transport& transport, const PeerBoard& board, std::size_t s,
   }
 }
 
+/// Free-running damping theta (ShardWorkerOptions::lambda_max): the
+/// Levin-May bound 2 cos(d pi / (2d + 1)) for the stalest residual age
+/// d = max_lag + 1, divided by lambda_max, capped at 1.
+double free_running_damping(std::size_t num_shards, double lambda_max,
+                            int max_lag) {
+  if (num_shards < 2) return 1.0;
+  const double d = static_cast<double>(max_lag) + 1.0;
+  const double bound = 2.0 * std::cos(d * std::numbers::pi / (2.0 * d + 1.0));
+  return lambda_max > bound ? bound / lambda_max : 1.0;
+}
+
 }  // namespace
 
 ShardWorkerResult run_shard_worker(const ShardPlan& plan,
@@ -42,6 +55,7 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
   const std::size_t s = opts.shard;
   const std::size_t S = plan.num_shards;
   const Range rg = plan.owned[s];
+  const double theta = free_running_damping(S, opts.lambda_max, opts.max_lag);
   const FaultPlan* const faults = opts.faults;
   TelemetrySink* const tel =
       (opts.telemetry != nullptr && opts.telemetry->enabled())
@@ -208,7 +222,7 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
       continue;
     }
 
-    // Free-running discipline (PR 6 loop, verbatim semantics).
+    // Free-running discipline.
     //
     // Staleness gate (max_lag): run at most max_lag corrections ahead of
     // the slowest live peer, draining channels while waiting. Bounded skew
@@ -233,13 +247,14 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
     // (pre-correction) to every peer.
     plan.local_a[s].residual_into(b, x_local, r_view);
     publish_residual(c);
-    // Full additive correction from the shard's residual view; commit the
-    // owned rows only, then publish the committed boundary values.
+    // Full additive correction from the shard's residual view, damped for
+    // the view's staleness; commit the owned rows only, then publish the
+    // committed boundary values.
     std::fill(staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
               staging.begin() + static_cast<std::ptrdiff_t>(rg.end), 0.0);
     corrector.accumulate_cycle(r_view, staging, rg.begin, rg.end, ws, ctmp);
     for (std::size_t i = rg.begin; i < rg.end; ++i) {
-      x_local[i - rg.begin] += staging[i];
+      x_local[i - rg.begin] += theta * staging[i];
     }
     publish_boundary(c);
     ++result.corrections;

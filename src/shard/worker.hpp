@@ -10,9 +10,12 @@
 //
 // Two disciplines:
 //
-//   free-running (bsp = false)  the PR 6 asynchronous loop verbatim: drain
-//       newest-wins packets, bounded-skew gate against the slowest LIVE
-//       peer, stale views on drops, Criterion-2 recovery when a peer dies.
+//   free-running (bsp = false)  drain newest-wins packets, bounded-skew
+//       gate against the slowest LIVE peer, stale views on drops,
+//       Criterion-2 recovery when a peer dies. Each correction is damped
+//       for the staleness the gate admits before it is committed
+//       (ShardWorkerOptions::lambda_max): undamped, stale residual views
+//       make the iteration diverge whenever the shards run in lockstep.
 //
 //   bulk-synchronous (bsp = true)  a deterministic two-exchange round:
 //         1. await + apply every live peer's boundary frame of this round
@@ -94,6 +97,18 @@ struct ShardWorkerOptions {
   /// Free-running mode: run at most max_lag corrections ahead of the
   /// slowest live peer (ignored when bsp).
   int max_lag = 3;
+  /// Free-running mode: lambda_max(C A) of the corrector
+  /// (additive_lambda_max), which sets the damping theta of every
+  /// correction together with max_lag. A shard at correction c may read a
+  /// peer's residual block from before that peer's correction
+  /// c - max_lag - 1, so the stalest residual is d = max_lag + 1
+  /// corrections old. The delayed Richardson recurrence
+  /// e_{c+1} = e_c - theta*lambda*e_{c-d} is stable iff
+  /// 0 < theta*lambda < 2 cos(d pi / (2d + 1)) (Levin & May, 1976), so
+  /// theta puts theta*lambda_max on that bound, never above 1. A single
+  /// shard reads only its own, always fresh, rows and is not damped;
+  /// neither are BSP rounds. 0 = undamped.
+  double lambda_max = 0.0;
   /// Bulk-synchronous rounds (see header comment); deterministic on any
   /// transport.
   bool bsp = false;

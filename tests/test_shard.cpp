@@ -1,13 +1,18 @@
 // Tests for the sharded solver subsystem: the domain partitioner's halo
 // round-trip identities, local-stencil bitwise equality with the global
 // kernels, the multi-shard bitwise oracle (S-shard synchronous == 1-shard),
-// free-running convergence, fault injection, the channel transport, and the
-// consistent-hash router.
+// free-running convergence (also under a deterministic replay of the
+// stalest view the staleness gate admits), fault injection, the channel
+// transport, and the consistent-hash router.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <tuple>
 
 #include "async/model.hpp"
 #include "mesh/problems.hpp"
@@ -15,6 +20,7 @@
 #include "shard/router.hpp"
 #include "shard/solver.hpp"
 #include "shard/transport.hpp"
+#include "shard/worker.hpp"
 #include "sparse/vec.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sink.hpp"
@@ -414,6 +420,119 @@ TEST(ShardSolver, AsyncRecoversFromKilledShard) {
   EXPECT_EQ(r.corrections[0], 25);
   EXPECT_EQ(r.corrections[2], 25);
   EXPECT_LT(r.final_rel_res, 1.0);  // progress despite the dead block
+}
+
+// ---------------------------------------------------------------------------
+// Free-running loop under the stalest view the staleness gate admits
+// ---------------------------------------------------------------------------
+
+// Test-only transport that replays the stalest reads the max_lag gate
+// admits, independent of thread timing. The gate lets shard s start
+// correction c once every live peer has committed c - max_lag corrections,
+// so at that point each peer has published its residual block of seq
+// c - max_lag - 1 (computed before its correction c - max_lag - 1) and its
+// boundary of seq c - max_lag (committed after it). recv_latest hands
+// shard s exactly those packets, where c is s's own commit count: every
+// read is fixed by the correction index, so a run is deterministic.
+class StalestViewTransport final : public Transport {
+ public:
+  StalestViewTransport(int max_lag, const PeerBoard& board)
+      : max_lag_(max_lag), board_(board) {}
+
+  bool send(std::size_t from, std::size_t to, HaloTag tag,
+            HaloPacket&& p) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto seq = static_cast<std::int64_t>(p.seq);
+    packets_[{from, to, static_cast<int>(tag), seq}] = std::move(p.data);
+    ++sent_;
+    return true;
+  }
+  bool recv_latest(std::size_t to, std::size_t from, HaloTag tag,
+                   HaloPacket& out) override {
+    const std::int64_t c = board_.commits(to);
+    const std::int64_t seq =
+        tag == HaloTag::kResidualBlock ? c - max_lag_ - 1 : c - max_lag_;
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = packets_.find({from, to, static_cast<int>(tag), seq});
+    if (it == packets_.end()) return false;
+    out.seq = static_cast<std::uint64_t>(seq);
+    out.data = it->second;
+    return true;
+  }
+  bool recv_next(std::size_t, std::size_t, HaloTag, HaloPacket&) override {
+    return false;  // BSP rounds only; never called by the free-running loop
+  }
+  std::uint64_t packets_sent() const override { return sent_; }
+  std::uint64_t packets_dropped() const override { return 0; }
+
+ private:
+  using Key = std::tuple<std::size_t, std::size_t, int, std::int64_t>;
+  const int max_lag_;
+  const PeerBoard& board_;
+  std::mutex mu_;
+  std::map<Key, std::vector<double>> packets_;
+  std::uint64_t sent_ = 0;
+};
+
+// Runs the free-running loop of every shard (one thread each) from x = 0
+// over StalestViewTransport, damped as the executors damp it, and returns
+// the final relative residual.
+double stalest_view_rel_res(const Fixture& f, std::size_t shards,
+                            int max_lag, int t_max) {
+  const ShardPlan plan = make_shard_plan(f.setup->a(0), shards);
+  const AdditiveCorrector corrector(*f.setup, f.ao);
+  const Vector x0(f.b.size(), 0.0);
+  Vector r0;
+  shard_initial_residual(plan, f.b, x0, r0);
+
+  const double lambda_max = additive_lambda_max(corrector);
+  LocalPeerBoard board(shards);
+  StalestViewTransport transport(max_lag, board);
+  std::vector<Vector> x_local(shards);
+  std::vector<Vector> r_view(shards, r0);
+  std::vector<std::thread> threads;
+  for (std::size_t s = 0; s < shards; ++s) {
+    shard_local_view(plan, s, x0, x_local[s]);
+    threads.emplace_back([&, s] {
+      ShardWorkerOptions wo;
+      wo.shard = s;
+      wo.t_max = t_max;
+      wo.max_lag = max_lag;
+      wo.lambda_max = lambda_max;
+      run_shard_worker(plan, corrector, f.b, x_local[s], r_view[s],
+                       transport, board, wo);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  Vector x(f.b.size(), 0.0);
+  for (std::size_t s = 0; s < shards; ++s) {
+    const Range rg = plan.owned[s];
+    std::copy(x_local[s].begin(),
+              x_local[s].begin() + static_cast<std::ptrdiff_t>(rg.size()),
+              x.begin() + static_cast<std::ptrdiff_t>(rg.begin));
+  }
+  Vector r;
+  f.setup->a(0).residual(f.b, x, r);
+  return norm2(r) / norm2(f.b);
+}
+
+TEST(ShardSolver, FreeRunningContractsUnderStalestGatedView) {
+  // Lockstep shards read each peer's residual block from before that
+  // peer's previous correction; undamped, that iteration diverges (relres
+  // ~1e12 after 120 corrections at 2 shards, max_lag 1). The damped loop
+  // must contract under the stalest view the gate admits.
+  Fixture f;
+  for (std::size_t shards : {2u, 3u, 4u}) {
+    for (int max_lag : {1, 3}) {
+      const double r30 = stalest_view_rel_res(f, shards, max_lag, 30);
+      const double r60 = stalest_view_rel_res(f, shards, max_lag, 60);
+      const double r120 = stalest_view_rel_res(f, shards, max_lag, 120);
+      EXPECT_LT(r30, 1.0) << shards << " shards, max_lag " << max_lag;
+      EXPECT_LT(r60, r30) << shards << " shards, max_lag " << max_lag;
+      EXPECT_LT(r120, r60) << shards << " shards, max_lag " << max_lag;
+    }
+  }
 }
 
 TEST(ShardSolver, ScriptedHonorsKills) {

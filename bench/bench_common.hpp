@@ -72,6 +72,15 @@ inline TestSet test_set_from_name(const std::string& name) {
   throw std::invalid_argument("unknown test set: " + name);
 }
 
+/// Where a bench writes the JSON summary named by `flag` (--json,
+/// --json-backend): the flag's value; otherwise `fallback` on a full run and
+/// nowhere ("") on a --smoke run, so a smoke gate run from the repo root
+/// never overwrites a committed reference BENCH_*.json.
+inline std::string json_out_path(const Cli& cli, const std::string& flag,
+                                 const std::string& fallback, bool smoke) {
+  return cli.get(flag, smoke ? "" : fallback);
+}
+
 /// Random right-hand side in [-1, 1] (Section V), seeded per run index.
 inline Vector paper_rhs(std::size_t n, std::uint64_t run) {
   Rng rng(0x5eed0000ull + run);

@@ -17,7 +17,8 @@
 //
 // Then a worker-count x problem-size sweep reports wall time, residual, and
 // wire traffic (bytes per correction). --json writes the machine-readable
-// summary (default BENCH_net.json); --smoke shrinks everything for CI.
+// summary (default BENCH_net.json; a --smoke run writes it only when --json
+// is given); --smoke shrinks everything for CI.
 // --trace-dir / --log-dir collect per-worker Chrome traces and stderr logs
 // as CI artifacts.
 
@@ -28,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -161,7 +163,8 @@ int main(int argc, char** argv) {
   const int t_max = static_cast<int>(cli.get_int("cycles", smoke ? 10 : 30));
   const auto worker_counts = smoke ? std::vector<std::int64_t>{2, 3}
                                    : cli.get_int_list("workers", {2, 3, 4});
-  const std::string json_path = cli.get("json", "BENCH_net.json");
+  const std::string json_path =
+      bench::json_out_path(cli, "json", "BENCH_net.json", smoke);
   const std::string trace_dir = cli.get("trace-dir", "");
   const std::string log_dir = cli.get("log-dir", "");
   // The worker binary sits next to the bench dir in the build tree.
@@ -376,6 +379,7 @@ int main(int argc, char** argv) {
   }
   for (WorkerProc& w : fleet) reap(w);
 
+  if (json_path.empty()) return 0;
   std::ofstream out(json_path);
   out << "{\"bench\":\"net_scaling\",\"n\":" << n << ",\"cycles\":" << t_max
       << ",\"smoke\":" << (smoke ? 1 : 0)

@@ -1,7 +1,8 @@
 // Mixed-precision hierarchy sweep (DESIGN.md section 12): byte footprint,
 // bytes moved per V-cycle, convergence, and cache residency for the three
 // precision policies (f64 oracle, f32coarse, auto) on the 27pt Laplacian.
-// Writes a machine-readable summary to --json (default BENCH_precision.json).
+// Writes a machine-readable summary to --json (default BENCH_precision.json;
+// --smoke writes only when --json is given).
 //
 // The f64 column is the oracle: the f32coarse/auto rows are reported
 // relative to it (operator bytes saved, extra cycles paid, solution
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
   const int t_max = static_cast<int>(cli.get_int("cycles", 100));
   const double tol = 1e-8;
   const int repeats = static_cast<int>(cli.get_int("repeats", smoke ? 1 : 3));
-  const std::string json_path = cli.get("json", "BENCH_precision.json");
+  const std::string json_path =
+      bench::json_out_path(cli, "json", "BENCH_precision.json", smoke);
 
   std::cout << "precision_sweep: 27pt Laplacian n=" << n << " ("
             << static_cast<std::int64_t>(n) * n * n << " dofs), tol=" << tol
@@ -164,32 +166,35 @@ int main(int argc, char** argv) {
               << " KiB budget\n";
   }
 
-  std::ofstream out(json_path);
-  out << "{\"bench\":\"precision_sweep\",\"problem\":\"27pt\",\"n\":" << n
-      << ",\"dofs\":" << static_cast<std::int64_t>(n) * n * n
-      << ",\"tol\":" << tol << ",\"cache_budget_bytes\":" << budget
-      << ",\"cache_matrices\":" << num_matrices << ",\"policies\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const PolicyResult& r = results[i];
-    if (i) out << ",";
-    out << "{\"policy\":\"" << r.name << "\",\"setup_bytes\":" << r.setup_bytes
-        << ",\"operator_value_bytes\":" << r.operator_value_bytes
-        << ",\"bytes_per_cycle\":" << r.bytes_per_cycle
-        << ",\"cycles\":" << r.cycles
-        << ",\"converged\":" << (r.converged ? "true" : "false")
-        << ",\"final_rel_res\":" << r.final_rel_res
-        << ",\"solve_seconds\":" << r.solve_seconds
-        << ",\"sol_rel_dist_vs_f64\":" << r.sol_rel_dist
-        << ",\"cache_resident\":" << residency[i]
-        << ",\"level_precisions\":[";
-    for (std::size_t k = 0; k < r.level_precisions.size(); ++k) {
-      if (k) out << ",";
-      out << "\"" << r.level_precisions[k].second << "\"";
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    out << "{\"bench\":\"precision_sweep\",\"problem\":\"27pt\",\"n\":" << n
+        << ",\"dofs\":" << static_cast<std::int64_t>(n) * n * n
+        << ",\"tol\":" << tol << ",\"cache_budget_bytes\":" << budget
+        << ",\"cache_matrices\":" << num_matrices << ",\"policies\":[";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const PolicyResult& r = results[i];
+      if (i) out << ",";
+      out << "{\"policy\":\"" << r.name
+          << "\",\"setup_bytes\":" << r.setup_bytes
+          << ",\"operator_value_bytes\":" << r.operator_value_bytes
+          << ",\"bytes_per_cycle\":" << r.bytes_per_cycle
+          << ",\"cycles\":" << r.cycles
+          << ",\"converged\":" << (r.converged ? "true" : "false")
+          << ",\"final_rel_res\":" << r.final_rel_res
+          << ",\"solve_seconds\":" << r.solve_seconds
+          << ",\"sol_rel_dist_vs_f64\":" << r.sol_rel_dist
+          << ",\"cache_resident\":" << residency[i]
+          << ",\"level_precisions\":[";
+      for (std::size_t k = 0; k < r.level_precisions.size(); ++k) {
+        if (k) out << ",";
+        out << "\"" << r.level_precisions[k].second << "\"";
+      }
+      out << "]}";
     }
-    out << "]}";
+    out << "]}\n";
+    std::cout << "\nwrote " << json_path << "\n";
   }
-  out << "]}\n";
-  std::cout << "\nwrote " << json_path << "\n";
 
   // CI gate: every policy must converge; reduced precision must actually
   // shrink the resident footprint and fit more hierarchies in the budget.

@@ -2,7 +2,8 @@
 // per-phase breakdown (strength / coarsen / interp / RAP) as a function of
 // the setup thread count, plus a cold-request latency comparison with and
 // without the background setup pipeline. Writes a machine-readable summary
-// to --json (default BENCH_setup.json).
+// to --json (default BENCH_setup.json; --smoke writes only when --json is
+// given).
 //
 // The per-phase numbers come from re-running the build loop phase by phase
 // through the public kernel APIs with the same options -- and, via
@@ -192,7 +193,8 @@ int main(int argc, char** argv) {
                              : cli.get_int_list("threads", {1, 2, 4, 8});
   const int repeats = static_cast<int>(cli.get_int("repeats", smoke ? 1 : 3));
   const int aggressive = static_cast<int>(cli.get_int("aggressive", 1));
-  const std::string json_path = cli.get("json", "BENCH_setup.json");
+  const std::string json_path =
+      bench::json_out_path(cli, "json", "BENCH_setup.json", smoke);
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::cout << "setup_scaling: 27pt Laplacian n=" << n << " ("
@@ -259,36 +261,38 @@ int main(int argc, char** argv) {
             << " cycles, " << background_resp.partial_cycles
             << " on partial hierarchies)\n";
 
-  std::ofstream out(json_path);
-  out << "{\"bench\":\"setup_scaling\",\"problem\":\"27pt\",\"n\":" << n
-      << ",\"dofs\":" << n * n * n << ",\"repeats\":" << repeats
-      << ",\"aggressive\":" << aggressive
-      << ",\"hardware_threads\":" << hw
-      << ",\"deterministic\":" << (deterministic ? "true" : "false")
-      << ",\"runs\":[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i) out << ",";
-    out << "{\"threads\":" << r.threads << ",\"total_seconds\":"
-        << r.best.total << ",\"speedup\":"
-        << (r.best.total > 0.0 ? base / r.best.total : 0.0)
-        << ",\"levels\":" << r.best.levels
-        << ",\"phases\":{\"strength\":" << r.best.strength << ",\"coarsen\":"
-        << r.best.coarsen << ",\"coarsen_oracle\":" << r.best.coarsen_oracle
-        << ",\"interp\":" << r.best.interp << ",\"rap\":"
-        << r.best.rap << "}"
-        << ",\"coarsen_speedup\":"
-        << (r.best.coarsen > 0.0 ? coarsen_base / r.best.coarsen : 0.0)
-        << "}";
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    out << "{\"bench\":\"setup_scaling\",\"problem\":\"27pt\",\"n\":" << n
+        << ",\"dofs\":" << n * n * n << ",\"repeats\":" << repeats
+        << ",\"aggressive\":" << aggressive
+        << ",\"hardware_threads\":" << hw
+        << ",\"deterministic\":" << (deterministic ? "true" : "false")
+        << ",\"runs\":[";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Row& r = rows[i];
+      if (i) out << ",";
+      out << "{\"threads\":" << r.threads << ",\"total_seconds\":"
+          << r.best.total << ",\"speedup\":"
+          << (r.best.total > 0.0 ? base / r.best.total : 0.0)
+          << ",\"levels\":" << r.best.levels
+          << ",\"phases\":{\"strength\":" << r.best.strength << ",\"coarsen\":"
+          << r.best.coarsen << ",\"coarsen_oracle\":" << r.best.coarsen_oracle
+          << ",\"interp\":" << r.best.interp << ",\"rap\":"
+          << r.best.rap << "}"
+          << ",\"coarsen_speedup\":"
+          << (r.best.coarsen > 0.0 ? coarsen_base / r.best.coarsen : 0.0)
+          << "}";
+    }
+    out << "],\"cold_request\":{\"threads\":" << svc_threads
+        << ",\"blocking_seconds\":" << blocking_s
+        << ",\"blocking_cycles\":" << blocking_resp.stats.cycles
+        << ",\"background_seconds\":" << background_s
+        << ",\"background_cycles\":" << background_resp.stats.cycles
+        << ",\"background_partial_cycles\":" << background_resp.partial_cycles
+        << "}}\n";
+    std::cout << "\nwrote " << json_path << "\n";
   }
-  out << "],\"cold_request\":{\"threads\":" << svc_threads
-      << ",\"blocking_seconds\":" << blocking_s
-      << ",\"blocking_cycles\":" << blocking_resp.stats.cycles
-      << ",\"background_seconds\":" << background_s
-      << ",\"background_cycles\":" << background_resp.stats.cycles
-      << ",\"background_partial_cycles\":" << background_resp.partial_cycles
-      << "}}\n";
-  std::cout << "\nwrote " << json_path << "\n";
 
   if (!deterministic) {
     std::cerr << "FAILED: parallel coarsening disagreed with the serial "

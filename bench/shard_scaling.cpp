@@ -8,7 +8,7 @@
 //
 // Writes a machine-readable summary to --json (default BENCH_shard.json).
 // `--smoke` shrinks everything for CI: small problem, shards {1, 2, 4},
-// zero-latency async only.
+// zero-latency async only, and writes JSON only when --json is given.
 
 #include <cstdlib>
 #include <fstream>
@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{0.0}
             : cli.get_double_list("latencies-us", {0.0, 50.0, 200.0});
   const int max_lag = static_cast<int>(cli.get_int("max-lag", 3));
-  const std::string json_path = cli.get("json", "BENCH_shard.json");
+  const std::string json_path =
+      bench::json_out_path(cli, "json", "BENCH_shard.json", smoke);
 
   Problem prob = make_problem(TestSet::kFD27pt, n);
   const MgSetup setup(std::move(prob.a),
@@ -138,6 +139,7 @@ int main(int argc, char** argv) {
                "residual degrades gracefully as latency (staleness) grows "
                "while per-shard throughput holds\n";
 
+  if (json_path.empty()) return 0;
   std::ofstream out(json_path);
   out << "{\"bench\":\"shard_scaling\",\"problem\":\"27pt\",\"n\":" << n
       << ",\"cycles\":" << t_max << ",\"max_lag\":" << max_lag

@@ -15,7 +15,9 @@
 //
 // All three produce bit-identical iterates (tests/test_kernels.cpp); this
 // harness only measures time. `--smoke` shrinks everything for CI: one
-// small size, few cycles, SELL forced on so the whole engine is exercised.
+// small size, few cycles, SELL forced on so the whole engine is exercised;
+// it writes --json / --json-backend (default BENCH_backend.json) only when
+// given.
 
 #include <omp.h>
 
@@ -67,7 +69,8 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(cli.get_int("repeats", smoke ? 1 : 5));
   const auto threads = smoke ? std::vector<std::int64_t>{1}
                              : cli.get_int_list("threads", {1, 4});
-  const std::string json_path = cli.get("json", "BENCH_solve.json");
+  const std::string json_path =
+      bench::json_out_path(cli, "json", "BENCH_solve.json", smoke);
   const int max_threads = omp_get_max_threads();
 
   std::cout << "solve_phase: 27pt Laplacian, V(1,1) cycles=" << cycles
@@ -299,39 +302,43 @@ int main(int argc, char** argv) {
               << largest_1t_speedup << "\n";
   }
 
-  std::ofstream out(json_path);
-  out << "{\"bench\":\"solve_phase\",\"problem\":\"27pt\",\"cycles\":" << cycles
-      << ",\"repeats\":" << repeats << ",\"smoke\":" << (smoke ? 1 : 0)
-      << ",\"runs\":[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Measurement& m = rows[i];
-    if (i) out << ",";
-    out << "{\"config\":\"" << m.config << "\",\"n\":" << m.n
-        << ",\"threads\":" << m.threads << ",\"sec_per_cycle\":"
-        << m.sec_per_cycle << ",\"speedup\":" << m.speedup << "}";
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    out << "{\"bench\":\"solve_phase\",\"problem\":\"27pt\",\"cycles\":"
+        << cycles << ",\"repeats\":" << repeats
+        << ",\"smoke\":" << (smoke ? 1 : 0) << ",\"runs\":[";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Measurement& m = rows[i];
+      if (i) out << ",";
+      out << "{\"config\":\"" << m.config << "\",\"n\":" << m.n
+          << ",\"threads\":" << m.threads << ",\"sec_per_cycle\":"
+          << m.sec_per_cycle << ",\"speedup\":" << m.speedup << "}";
+    }
+    out << "],\"pcg\":{\"n\":" << pcg_n << ",\"fresh_ws_seconds\":" << pcg_fresh
+        << ",\"reused_ws_seconds\":" << pcg_reused << "}}\n";
+    std::cout << "wrote " << json_path << "\n";
   }
-  out << "],\"pcg\":{\"n\":" << pcg_n << ",\"fresh_ws_seconds\":" << pcg_fresh
-      << ",\"reused_ws_seconds\":" << pcg_reused << "}}\n";
-  std::cout << "wrote " << json_path << "\n";
 
   const std::string backend_json =
-      cli.get("json-backend", "BENCH_backend.json");
-  std::ofstream bout(backend_json);
-  bout << "{\"bench\":\"solve_phase_backend\",\"problem\":\"27pt\",\"n\":"
-       << sizes.back() << ",\"cycles\":" << cycles
-       << ",\"smoke\":" << (smoke ? 1 : 0) << ",\"supported\":\""
-       << supported_backends_string() << "\",\"bitwise_identical\":"
-       << (backend_mismatch ? 0 : 1) << ",\"runs\":[";
-  for (std::size_t i = 0; i < backend_rows.size(); ++i) {
-    const auto& r = backend_rows[i];
-    if (i) bout << ",";
-    bout << "{\"backend\":\"" << backend_kind_name(r.kind)
-         << "\",\"sec_per_cycle\":" << r.sec_per_cycle
-         << ",\"speedup_vs_scalar\":" << r.speedup << ",\"bytes_per_cycle\":"
-         << r.bytes_per_cycle << ",\"gbps\":" << r.gbps << "}";
+      bench::json_out_path(cli, "json-backend", "BENCH_backend.json", smoke);
+  if (!backend_json.empty()) {
+    std::ofstream bout(backend_json);
+    bout << "{\"bench\":\"solve_phase_backend\",\"problem\":\"27pt\",\"n\":"
+         << sizes.back() << ",\"cycles\":" << cycles
+         << ",\"smoke\":" << (smoke ? 1 : 0) << ",\"supported\":\""
+         << supported_backends_string() << "\",\"bitwise_identical\":"
+         << (backend_mismatch ? 0 : 1) << ",\"runs\":[";
+    for (std::size_t i = 0; i < backend_rows.size(); ++i) {
+      const auto& r = backend_rows[i];
+      if (i) bout << ",";
+      bout << "{\"backend\":\"" << backend_kind_name(r.kind)
+           << "\",\"sec_per_cycle\":" << r.sec_per_cycle
+           << ",\"speedup_vs_scalar\":" << r.speedup << ",\"bytes_per_cycle\":"
+           << r.bytes_per_cycle << ",\"gbps\":" << r.gbps << "}";
+    }
+    bout << "]}\n";
+    std::cout << "wrote " << backend_json << "\n";
   }
-  bout << "]}\n";
-  std::cout << "wrote " << backend_json << "\n";
 
   if (backend_mismatch) {
     std::cerr << "FAIL: SIMD backend iterates are not bitwise identical to "

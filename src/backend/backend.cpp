@@ -141,10 +141,9 @@ void KernelBackend::axpy(double alpha, const Vector& x, Vector& y) const {
   asyncmg::axpy(alpha, x, y);
 }
 
-void KernelBackend::prepare_workspace(Vector& v, std::size_t n,
-                                      bool first_touch) const {
+void KernelBackend::prepare_workspace(Vector& v, std::size_t n) const {
   v.resize(n);
-  if (!first_touch || this_thread_is_pool_worker() ||
+  if (this_thread_is_pool_worker() ||
       static_cast<Index>(n) < kSetupSerialCutoff) {
     return;
   }

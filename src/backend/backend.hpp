@@ -104,12 +104,11 @@ class KernelBackend {
 
   // --- Workspace -----------------------------------------------------------
 
-  /// Sizes one cycle-workspace buffer. With `first_touch`, large buffers are
-  /// re-zeroed by a parallel loop so first-touch NUMA policies place pages
-  /// with the team that runs the kernels; pool workers and small buffers
-  /// skip it, exactly like the solve kernels' OpenMP gate.
-  virtual void prepare_workspace(Vector& v, std::size_t n,
-                                 bool first_touch) const;
+  /// Sizes one cycle-workspace buffer. Large buffers are re-zeroed by a
+  /// parallel loop so first-touch NUMA policies place pages with the team
+  /// that runs the kernels; pool workers and small buffers skip it, exactly
+  /// like the solve kernels' OpenMP gate.
+  virtual void prepare_workspace(Vector& v, std::size_t n) const;
 };
 
 // --- Dispatch ---------------------------------------------------------------

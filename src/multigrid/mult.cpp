@@ -17,9 +17,8 @@ MultiplicativeMg::MultiplicativeMg(const MgSetup& setup, bool symmetric,
       pre_sweeps_(pre_sweeps),
       post_sweeps_(post_sweeps),
       gamma_(gamma),
-      fused_(setup.options().engine.fused),
       active_(setup.num_levels()),
-      ws_(setup, setup.options().engine.first_touch) {
+      ws_(setup) {
   if (pre_sweeps < 0 || post_sweeps < 0 || pre_sweeps + post_sweeps == 0) {
     throw std::invalid_argument(
         "MultiplicativeMg: need nonnegative sweep counts, at least one");

@@ -67,10 +67,9 @@ class MultiplicativeMg {
   /// object's cycle() calls.
   void set_telemetry(TelemetrySink* sink, std::size_t tid = 0);
 
-  /// Toggle the fused kernel engine for this instance (initialized from the
-  /// setup's engine options). `false` restores the original two-pass,
-  /// allocating reference path — the bench baseline and the bitwise oracle
-  /// of the property tests.
+  /// Toggle the fused kernel engine for this instance (on by default).
+  /// `false` restores the original two-pass, allocating reference path —
+  /// the bench baseline and the bitwise oracle of the property tests.
   void set_fused(bool fused) { fused_ = fused; }
   bool fused() const { return fused_; }
 
@@ -126,7 +125,7 @@ class MultiplicativeMg {
   int pre_sweeps_;
   int post_sweeps_;
   int gamma_ = 1;
-  bool fused_;
+  bool fused_ = true;
   std::size_t active_;  // cycle depth; num_levels unless truncated
   // Per-level scratch arena reused across cycles (no allocations inside a
   // cycle, even on the reference path's vectors).

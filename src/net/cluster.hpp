@@ -20,10 +20,10 @@
 //      against the coordinator's own copy of the operator.
 //
 // ClusterRouter sits in front: it places each solve on a subset of the
-// worker fleet with the consistent-hash ring from shard/router.hpp keyed by
-// matrix fingerprint, so repeated solves of the same operator land on the
-// same workers (their setup caches stay warm) and resizing the fleet remaps
-// only ~1/N of the key space.
+// worker fleet with select_backends over the consistent-hash ring of
+// shard/router.hpp, keyed by matrix fingerprint, so repeated solves of the
+// same operator land on the same workers (their setup caches stay warm) and
+// resizing the fleet remaps only ~1/N of the key space.
 
 #include <cstdint>
 #include <memory>
@@ -129,14 +129,6 @@ class ClusterCoordinator {
   ClusterOptions opts_;
 };
 
-/// Walks the ring clockwise from `key` collecting the first `count`
-/// DISTINCT backends (the placement primitive of ClusterRouter, a free
-/// function so tests cover it without sockets). Throws std::invalid_argument
-/// when fewer distinct backends exist than requested.
-std::vector<std::size_t> select_backends(const std::vector<RingNode>& ring,
-                                         std::uint64_t key,
-                                         std::size_t count);
-
 struct ClusterRouterOptions {
   /// The worker fleet (superset of any one solve's participants).
   std::vector<Endpoint> endpoints;
@@ -170,7 +162,7 @@ class ClusterRouter {
   const ClusterRouterOptions& options() const { return opts_; }
 
   /// Router counters plus the per-worker stats JSON of the fleet spliced in
-  /// verbatim (same shape as ShardRouter::stats_json).
+  /// verbatim.
   std::string stats_json() const;
 
  private:

@@ -1,7 +1,6 @@
 #pragma once
-// ShardedSolver: executes (not simulates) multi-shard asynchronous additive
-// multigrid -- the distributed extension the paper's conclusion points to,
-// promoted from the discrete-event model in async/distributed.
+// ShardedSolver: executes multi-shard asynchronous additive multigrid --
+// the distributed extension the paper's conclusion points to.
 //
 // The fine grid is split into contiguous row blocks by the deterministic
 // partitioner (shard/partition.hpp). Each shard owns its block of x and of

@@ -1,9 +1,8 @@
 #pragma once
 // Pluggable point-to-point transport for the sharded executor's halo
-// exchange. The executor only ever talks to this interface, so an
-// out-of-process (socket) transport can slot in later without touching the
-// solver; the in-process implementation below is the one the tests and the
-// TSan CI job exercise today.
+// exchange. The shard loop (shard/worker.hpp) only ever talks to this
+// interface: in process it runs over the ChannelTransport below, across
+// processes over the TCP SocketTransport (net/transport.hpp).
 //
 // ChannelTransport gives every directed (from, to, tag) edge its own
 // bounded single-producer/single-consumer ring: the producer is the
@@ -17,7 +16,7 @@
 // An optional mean one-way latency delays *visibility*, not the sender:
 // packets carry a deadline and recv_latest ignores packets still in
 // flight. Latency is sampled per packet from U[0.5, 1.5] * latency with a
-// deterministic per-edge RNG, mirroring async/distributed's cost model.
+// deterministic per-edge RNG.
 
 #include <atomic>
 #include <chrono>

@@ -55,7 +55,11 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
   const std::size_t s = opts.shard;
   const std::size_t S = plan.num_shards;
   const Range rg = plan.owned[s];
-  const double theta = free_running_damping(S, opts.lambda_max, opts.max_lag);
+  // BSP rounds commit the undamped correction: 1.0 * v == v exactly, so
+  // theta = 1 keeps them bitwise equal to the scripted oracle.
+  const double theta =
+      opts.bsp ? 1.0
+               : free_running_damping(S, opts.lambda_max, opts.max_lag);
   const FaultPlan* const faults = opts.faults;
   TelemetrySink* const tel =
       (opts.telemetry != nullptr && opts.telemetry->enabled())
@@ -68,31 +72,50 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
   CorrectionScratch ws;
   HaloPacket pkt;
 
-  // Newest-wins refresh of ghosts and foreign residual rows (free-running
-  // discipline; also the gate's drain while waiting). A packet whose length
+  // Apply the packet in `pkt` from peer p to the ghosts / the residual
+  // view; each returns the number of packets applied. A packet whose length
   // disagrees with the plan is discarded -- lost-message semantics, so no
-  // Transport implementation can make these loops read or write outside the
+  // Transport implementation can make the loop read or write outside the
   // plan's ranges (socket transports additionally validate at delivery).
+  auto apply_boundary = [&](std::size_t p) {
+    const auto& slots = plan.ghost_slots[s][p];
+    if (pkt.data.size() != slots.size()) return 0;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      x_local[slots[i]] = pkt.data[i];
+    }
+    return 1;
+  };
+  auto apply_residual = [&](std::size_t p) {
+    const Range prg = plan.owned[p];
+    if (pkt.data.size() != prg.size()) return 0;
+    std::copy(pkt.data.begin(), pkt.data.end(),
+              r_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));
+    return 1;
+  };
+  // Free-running read: newest-wins refresh of ghosts and foreign residual
+  // rows (also the gate's drain while waiting).
   auto drain = [&]() {
     int got = 0;
     for (std::size_t p = 0; p < S; ++p) {
       if (p == s) continue;
       if (transport.recv_latest(s, p, HaloTag::kBoundaryX, pkt)) {
-        const auto& slots = plan.ghost_slots[s][p];
-        if (pkt.data.size() == slots.size()) {
-          for (std::size_t i = 0; i < slots.size(); ++i) {
-            x_local[slots[i]] = pkt.data[i];
-          }
-          ++got;
-        }
+        got += apply_boundary(p);
       }
       if (transport.recv_latest(s, p, HaloTag::kResidualBlock, pkt)) {
-        const Range prg = plan.owned[p];
-        if (pkt.data.size() == prg.size()) {
-          std::copy(pkt.data.begin(), pkt.data.end(),
-                    r_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));
-          ++got;
-        }
+        got += apply_residual(p);
+      }
+    }
+    return got;
+  };
+  // BSP read: FIFO-awaits this round's `tag` frame from every peer that
+  // sends one (dead peers are exempt after a final drain, await_frame).
+  auto await_round = [&](HaloTag tag) {
+    const bool boundary = tag == HaloTag::kBoundaryX;
+    int got = 0;
+    for (std::size_t p = 0; p < S; ++p) {
+      if (p == s || (boundary && plan.send[p][s].empty())) continue;
+      if (await_frame(transport, board, s, p, tag, pkt)) {
+        got += boundary ? apply_boundary(p) : apply_residual(p);
       }
     }
     return got;
@@ -104,6 +127,13 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
     }
     return true;
   };
+  // A failed send (full ring, lost connection) or a dropped read (peer -1).
+  auto record_drop = [&](std::int64_t peer) {
+    if (tel != nullptr) {
+      tel->record(s, EventKind::kShardDrop, static_cast<std::int64_t>(s),
+                  peer);
+    }
+  };
   auto publish_residual = [&](int c) {
     for (std::size_t p = 0; p < S; ++p) {
       if (p == s) continue;
@@ -112,10 +142,8 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
       out.data.assign(
           r_view.begin() + static_cast<std::ptrdiff_t>(rg.begin),
           r_view.begin() + static_cast<std::ptrdiff_t>(rg.end));
-      if (!transport.send(s, p, HaloTag::kResidualBlock, std::move(out)) &&
-          tel != nullptr) {
-        tel->record(s, EventKind::kShardDrop, static_cast<std::int64_t>(s),
-                    static_cast<std::int64_t>(p));
+      if (!transport.send(s, p, HaloTag::kResidualBlock, std::move(out))) {
+        record_drop(static_cast<std::int64_t>(p));
       }
     }
   };
@@ -129,15 +157,14 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
         out.data[i] =
             x_local[static_cast<std::size_t>(plan.send[s][p][i]) - rg.begin];
       }
-      if (!transport.send(s, p, HaloTag::kBoundaryX, std::move(out)) &&
-          tel != nullptr) {
-        tel->record(s, EventKind::kShardDrop, static_cast<std::int64_t>(s),
-                    static_cast<std::int64_t>(p));
+      if (!transport.send(s, p, HaloTag::kBoundaryX, std::move(out))) {
+        record_drop(static_cast<std::int64_t>(p));
       }
     }
   };
 
   for (int c = 0; c < opts.t_max; ++c) {
+    // 1. Fault hooks.
     if (faults != nullptr && faults->kills_grid(s, c)) {
       result.killed = true;
       break;
@@ -152,111 +179,54 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
     const bool drop_read = faults != nullptr && faults->drops_read(s, c);
     if (drop_read) {
       ++result.reads_dropped;
-      if (tel != nullptr) {
-        tel->record(s, EventKind::kShardDrop, static_cast<std::int64_t>(s),
-                    -1);
-      }
+      record_drop(-1);
     }
 
+    // 2. Read peers; a dropped read keeps the stale view (lost message).
+    // BSP: this round's boundary frames (ghosts = x after round c - 1;
+    // round 0 starts from the shared initial iterate). Free-running: the
+    // staleness gate -- run at most max_lag corrections ahead of the
+    // slowest live peer, draining while waiting, the executor's bounded
+    // read delay -- then a newest-wins refresh of whatever has arrived.
+    int got = 0;
     if (opts.bsp) {
-      // Round step 1: boundary frames of this round (ghosts = x after round
-      // c - 1). Round 0 starts from the shared initial iterate.
-      int got = 0;
-      if (c > 0 && !drop_read) {
-        for (std::size_t p = 0; p < S; ++p) {
-          if (p == s || plan.send[p][s].empty()) continue;
-          if (await_frame(transport, board, s, p, HaloTag::kBoundaryX, pkt)) {
-            const auto& slots = plan.ghost_slots[s][p];
-            if (pkt.data.size() == slots.size()) {
-              for (std::size_t i = 0; i < slots.size(); ++i) {
-                x_local[slots[i]] = pkt.data[i];
-              }
-              ++got;
-            }
-          }
-        }
+      if (c > 0 && !drop_read) got += await_round(HaloTag::kBoundaryX);
+    } else {
+      while (!within_lag(c)) {
+        drain();
+        std::this_thread::yield();
       }
-      const std::int64_t t0 = tel != nullptr ? tel->clock().now_ns() : 0;
-      // Step 2: own residual rows from the round's ghosts; publish before
-      // waiting so the round's residual exchange can never cycle-wait.
-      plan.local_a[s].residual_into(b, x_local, r_view);
-      publish_residual(c);
-      // Step 3: every live peer's residual block of THIS round -- the view
-      // is globally fresh, which is what makes the discipline replay the
-      // scripted full-schedule oracle bitwise.
-      if (!drop_read) {
-        for (std::size_t p = 0; p < S; ++p) {
-          if (p == s) continue;
-          if (await_frame(transport, board, s, p, HaloTag::kResidualBlock,
-                          pkt)) {
-            const Range prg = plan.owned[p];
-            if (pkt.data.size() == prg.size()) {
-              std::copy(
-                  pkt.data.begin(), pkt.data.end(),
-                  r_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));
-              ++got;
-            }
-          }
-        }
-      }
-      if (tel != nullptr && got > 0) {
-        tel->record(s, EventKind::kShardExchange,
-                    static_cast<std::int64_t>(s), got);
-      }
-      // Step 4: correct, commit owned rows, publish the new boundary.
-      std::fill(staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-                staging.begin() + static_cast<std::ptrdiff_t>(rg.end), 0.0);
-      corrector.accumulate_cycle(r_view, staging, rg.begin, rg.end, ws,
-                                 ctmp);
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        x_local[i - rg.begin] += staging[i];
-      }
-      publish_boundary(c);
-      ++result.corrections;
-      board.publish_commits(s, c + 1);
-      if (tel != nullptr) {
-        tel->record_at(s, t0, EventKind::kShardStep,
-                       static_cast<std::int64_t>(s),
-                       tel->clock().now_ns() - t0);
-      }
-      continue;
+      if (!drop_read) got += drain();
     }
 
-    // Free-running discipline.
-    //
-    // Staleness gate (max_lag): run at most max_lag corrections ahead of
-    // the slowest live peer, draining channels while waiting. Bounded skew
-    // plus newest-wins channels is the executor's realization of the
-    // model's bounded read delay.
-    while (!within_lag(c)) {
-      drain();
-      std::this_thread::yield();
-    }
-    // Refresh the halo and the foreign residual view from whatever has
-    // arrived; a dropped read keeps the stale view (lost message).
-    if (!drop_read) {
-      const int got = drain();
-      if (tel != nullptr && got > 0) {
-        tel->record(s, EventKind::kShardExchange,
-                    static_cast<std::int64_t>(s), got);
-      }
-    }
-
+    // 3. Own residual rows from the halo; publish the block (pre-
+    // correction) before any wait, so the BSP residual exchange can never
+    // cycle-wait.
     const std::int64_t t0 = tel != nullptr ? tel->clock().now_ns() : 0;
-    // Own residual rows from the (possibly stale) halo; publish the block
-    // (pre-correction) to every peer.
     plan.local_a[s].residual_into(b, x_local, r_view);
     publish_residual(c);
-    // Full additive correction from the shard's residual view, damped for
-    // the view's staleness; commit the owned rows only, then publish the
-    // committed boundary values.
+
+    // 4. BSP: every live peer's residual block of THIS round -- the view is
+    // globally fresh, which is what makes the rounds replay the scripted
+    // full-schedule oracle bitwise.
+    if (opts.bsp && !drop_read) got += await_round(HaloTag::kResidualBlock);
+    if (tel != nullptr && got > 0) {
+      tel->record(s, EventKind::kShardExchange, static_cast<std::int64_t>(s),
+                  got);
+    }
+
+    // 5. Full additive correction from the shard's residual view, damped by
+    // theta for the staleness a free-running view may carry.
     std::fill(staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
               staging.begin() + static_cast<std::ptrdiff_t>(rg.end), 0.0);
     corrector.accumulate_cycle(r_view, staging, rg.begin, rg.end, ws, ctmp);
+
+    // 6. Commit the owned rows and publish them. No BSP round reads the
+    // boundary of the last round; free-running peers may still drain it.
     for (std::size_t i = rg.begin; i < rg.end; ++i) {
       x_local[i - rg.begin] += theta * staging[i];
     }
-    publish_boundary(c);
+    if (!opts.bsp || c + 1 < opts.t_max) publish_boundary(c);
     ++result.corrections;
     board.publish_commits(s, c + 1);
     if (tel != nullptr) {

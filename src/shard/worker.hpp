@@ -8,32 +8,37 @@
 //   Transport  (shard/transport.hpp)  halo/residual packet exchange
 //   PeerBoard  (below)                peer progress + liveness
 //
-// Two disciplines:
+// Every correction is one round of six steps; the two disciplines differ
+// only in how step 2 reads peers and in the damping theta of step 5:
 //
-//   free-running (bsp = false)  drain newest-wins packets, bounded-skew
-//       gate against the slowest LIVE peer, stale views on drops,
-//       Criterion-2 recovery when a peer dies. Each correction is damped
-//       for the staleness the gate admits before it is committed
-//       (ShardWorkerOptions::lambda_max): undamped, stale residual views
-//       make the iteration diverge whenever the shards run in lockstep.
+//   1. fault hooks (kill, stall, drop-read);
+//   2. read peers --
+//        bulk-synchronous (bsp = true): FIFO-await every live peer's
+//          boundary frame of this round (ghosts now hold x after round
+//          c-1);
+//        free-running (bsp = false): bounded-skew gate against the slowest
+//          LIVE peer, then a newest-wins drain (stale views on drops);
+//   3. compute own residual rows, publish the residual block (seq c);
+//   4. BSP only: await every live peer's residual block of THIS round (the
+//      residual view is globally fresh at round c);
+//   5. correct -- free-running corrections are damped for the staleness
+//      the gate admits (ShardWorkerOptions::lambda_max); undamped, stale
+//      residual views make the iteration diverge whenever the shards run in
+//      lockstep. BSP commits are undamped;
+//   6. commit owned rows, publish boundaries (seq c+1; skipped after the
+//      last BSP round, which no round reads), publish commits, telemetry.
 //
-//   bulk-synchronous (bsp = true)  a deterministic two-exchange round:
-//         1. await + apply every live peer's boundary frame of this round
-//            (ghosts now hold x after round c-1),
-//         2. compute own residual rows, publish the residual block (seq c),
-//         3. await + apply every live peer's residual block of THIS round
-//            (the residual view is globally fresh at round c),
-//         4. correct, commit owned rows, publish boundaries (seq c+1).
-//       Every read is uniquely determined by the round structure, never by
-//       message timing, so the iterates are bitwise identical on ANY
-//       transport -- and identical to ShardedSolver's kSynchronous scripted
-//       oracle (the full-schedule semantics replayed over messages). Frames
-//       are consumed in FIFO order (Transport::recv_next) one per round, so
-//       a fast peer can run at most one round ahead and a default-capacity
-//       ring never drops a BSP frame. A dead peer is exempted from both
-//       waits after one final drain (its published frames happen-before its
-//       death), so a killed worker degrades the view instead of deadlocking
-//       the round -- Criterion-2 across processes.
+// In BSP every read is uniquely determined by the round structure, never by
+// message timing, so the iterates are bitwise identical on ANY transport --
+// and identical to ShardedSolver's kSynchronous scripted oracle (the
+// full-schedule semantics replayed over messages). Frames are consumed in
+// FIFO order (Transport::recv_next) one per round, so a fast peer can run at
+// most one round ahead and a default-capacity ring never drops a BSP frame.
+// A dead peer is exempted from both waits after one final drain (its
+// published frames happen-before its death), so a killed worker degrades
+// the view instead of deadlocking the round -- Criterion-2 across
+// processes. Free-running shards recover the same way: the gate exempts
+// dead peers.
 
 #include <atomic>
 #include <cstdint>

@@ -45,10 +45,22 @@ enum class BackendKind : std::uint8_t {
 /// accepted ASYNCMG_BACKEND values.
 const char* backend_kind_name(BackendKind k);
 
-/// Configuration of the solve-phase kernel engine. Defaults enable
-/// everything; `fused = false` restores the original two-pass reference
-/// path (which the bench uses as its baseline and the property tests use as
-/// the bitwise oracle).
+/// SELL chunk height C (accumulator width). C=16 measured best-or-tied for
+/// V(1,1) cycles on the 27-point Laplacian across C in {8,16,32,64}
+/// (bench/solve_phase); wider chunks trade contiguous-column coverage for
+/// more accumulators without a reliable cycle-level win.
+inline constexpr Index kSellChunk = 16;
+/// SELL sorting window sigma. A small window keeps the permutation local
+/// (sorted rows stay near their neighbors, so x accesses keep the CSR
+/// locality) while still grouping equal-length stencil rows into full-width
+/// chunks.
+inline constexpr Index kSellSigma = 256;
+
+/// Configuration of the solve-phase kernel engine. Multiplicative cycles
+/// always start on the fused single-A-pass kernels and first-touch their
+/// workspace; the original two-pass reference path stays reachable per
+/// solver through MultiplicativeMg::set_fused(false) (the bench baseline and
+/// the property tests' bitwise oracle).
 struct KernelEngineOptions {
   /// Kernel backend request. kAuto picks the widest supported ISA; an
   /// explicit kind pins it (bypassing the ASYNCMG_BACKEND env override,
@@ -56,25 +68,12 @@ struct KernelEngineOptions {
   /// request falls back to the widest supported backend with a logged
   /// warning — it never fails the setup.
   BackendKind backend = BackendKind::kAuto;
-  /// Use the fused single-A-pass kernels in cycles and smoothers.
-  bool fused = true;
-  /// Convert eligible levels to SELL-C-sigma at setup.
+  /// Convert eligible levels to SELL-C-sigma (kSellChunk, kSellSigma) at
+  /// setup.
   bool use_sell = true;
   /// Smallest level (rows) worth converting: below this the matrix lives in
   /// cache and conversion/padding overhead buys nothing.
   Index sell_min_rows = 1 << 12;
-  /// SELL chunk height C (accumulator width). C=16 measured best-or-tied
-  /// for V(1,1) cycles on the 27-point Laplacian across C in {8,16,32,64}
-  /// (bench/solve_phase); wider chunks trade contiguous-column coverage for
-  /// more accumulators without a reliable cycle-level win.
-  Index sell_chunk = 16;
-  /// SELL sorting window sigma. A small window keeps the permutation local
-  /// (sorted rows stay near their neighbors, so x accesses keep the CSR
-  /// locality) while still grouping equal-length stencil rows into
-  /// full-width chunks.
-  Index sell_sigma = 256;
-  /// Touch workspace pages from the owning thread team at setup.
-  bool first_touch = true;
 };
 
 /// Per-level format choice: SELL-C-sigma only pays off on levels that run

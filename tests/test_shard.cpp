@@ -3,7 +3,7 @@
 // kernels, the multi-shard bitwise oracle (S-shard synchronous == 1-shard),
 // free-running convergence (also under a deterministic replay of the
 // stalest view the staleness gate admits), fault injection, the channel
-// transport, and the consistent-hash router.
+// transport, and consistent-hash placement.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +221,32 @@ TEST(ShardSolver, SyncTransportSurvivesKilledShard) {
   EXPECT_LT(r.final_rel_res, 1.0);
 }
 
+TEST(ShardSolver, SyncTransportSendsOnlyFramesARoundReads) {
+  // Every BSP round sends its residual block to each peer and its boundary
+  // along each non-empty directed send list -- except after the last round,
+  // whose boundary no round reads.
+  Fixture f;
+  for (std::size_t shards : {2u, 3u, 4u}) {
+    ShardOptions so;
+    so.mode = ShardMode::kSyncTransport;
+    so.num_shards = shards;
+    so.t_max = 6;
+    ShardedSolver solver(*f.setup, f.ao, so);
+    std::uint64_t edges = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (std::size_t p = 0; p < shards; ++p) {
+        if (p != s && !solver.plan().send[s][p].empty()) ++edges;
+      }
+    }
+    Vector x(f.b.size(), 0.0);
+    const ShardResult r = solver.solve(f.b, x);
+    const auto t = static_cast<std::uint64_t>(so.t_max);
+    EXPECT_EQ(r.packets_sent, shards * (shards - 1) * t + (t - 1) * edges)
+        << shards << " shards";
+    EXPECT_EQ(r.packets_dropped, 0u);
+  }
+}
+
 TEST(ShardSolver, TransportCountersSurfaceInMetricsRegistry) {
   // Satellite of the net PR: channel sends/drops are mirrored onto the
   // telemetry metrics registry so they surface in every stats JSON that
@@ -380,6 +406,13 @@ TEST(ShardSolver, AsyncMatchesSequentialModelErrorNorm) {
   Vector x(f.b.size(), 0.0);
   const ShardResult r = solver.solve(f.b, x);
   EXPECT_LT(r.final_rel_res, std::max(mr.final_rel_res * 100.0, 1e-6));
+  // The model itself diverges on this fixture (undamped delayed iteration,
+  // relres 8.49), so the bound above is 849. The damped executor must also
+  // converge outright: 110 standalone runs on a 4-core host (50 alone, 60
+  // four at a time) ended at relres 0.0117-0.0153, the deterministic
+  // stalest gated view (4 shards, max_lag 3, 30 corrections) at 0.0243,
+  // and the same executor without damping at ~835.
+  EXPECT_LT(r.final_rel_res, 0.1);
 }
 
 TEST(ShardSolver, AsyncSurvivesDroppedExchanges) {
@@ -635,7 +668,7 @@ TEST(ChannelTransportTest, DeliversNewestAndCountsDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// Consistent-hash router
+// Consistent-hash placement
 // ---------------------------------------------------------------------------
 
 TEST(HashRing, DeterministicBalancedAndStable) {
@@ -649,7 +682,9 @@ TEST(HashRing, DeterministicBalancedAndStable) {
   // Every backend serves a nontrivial share of a uniform key population.
   std::vector<int> hits(4, 0);
   Rng rng(5);
-  for (int i = 0; i < 4000; ++i) ++hits[ring_lookup(ring, rng.next_u64())];
+  for (int i = 0; i < 4000; ++i) {
+    ++hits[select_backends(ring, rng.next_u64(), 1)[0]];
+  }
   for (int h : hits) EXPECT_GT(h, 4000 / 16);
 }
 
@@ -661,63 +696,13 @@ TEST(HashRing, AddingABackendRemapsOnlyAFraction) {
   const int keys = 5000;
   for (int i = 0; i < keys; ++i) {
     const std::uint64_t k = rng.next_u64();
-    if (ring_lookup(before, k) != ring_lookup(after, k)) ++moved;
+    if (select_backends(before, k, 1) != select_backends(after, k, 1)) {
+      ++moved;
+    }
   }
   // Ideal is 1/5 of the keys; allow generous slack for vnode variance.
   EXPECT_LT(moved, keys / 2);
   EXPECT_GT(moved, 0);
-}
-
-TEST(ShardRouterTest, RejectsBadOptions) {
-  ShardRouterOptions o;
-  o.num_backends = 0;
-  EXPECT_THROW(ShardRouter{o}, std::invalid_argument);
-  o = {};
-  o.vnodes_per_backend = 0;
-  EXPECT_THROW(ShardRouter{o}, std::invalid_argument);
-  o = {};
-  o.service.num_threads = 0;
-  EXPECT_THROW(ShardRouter{o}, std::invalid_argument);
-}
-
-TEST(ShardRouterTest, RoutesWithCacheAffinityAndMergesStats) {
-  ShardRouterOptions o;
-  o.num_backends = 2;
-  o.service.num_threads = 2;
-  o.service.cache.mg.smoother.type = SmootherType::kWeightedJacobi;
-  o.service.cache.mg.smoother.omega = 0.9;
-  o.service.default_t_max = 30;
-  ShardRouter router(o);
-
-  Problem p1 = make_laplace_7pt(6);
-  Problem p2 = make_laplace_7pt(7);
-  Rng rng(11);
-  const Vector b1 =
-      random_vector(static_cast<std::size_t>(p1.a.rows()), rng);
-  const Vector b2 =
-      random_vector(static_cast<std::size_t>(p2.a.rows()), rng);
-
-  // The same matrix always routes to the same backend.
-  const std::size_t home1 = router.backend_of(p1.a);
-  EXPECT_EQ(home1, router.backend_of(p1.a));
-
-  auto f1 = router.submit(p1.a, b1);
-  auto f1again = router.submit(p1.a, b1);
-  auto f2 = router.submit(p2.a, b2);
-  const SolveResponse r1 = f1.get();
-  const SolveResponse r1b = f1again.get();
-  const SolveResponse r2 = f2.get();
-  EXPECT_LT(r1.stats.final_rel_res(), 1e-6);
-  EXPECT_LT(r2.stats.final_rel_res(), 1e-6);
-  // Affinity means the repeat request hit the backend's warm cache.
-  EXPECT_TRUE(r1.cache_hit || r1b.cache_hit);
-
-  const std::string json = router.stats_json();
-  EXPECT_NE(json.find("\"routed\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"backends\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"routed_per_backend\":["), std::string::npos);
-  EXPECT_NE(json.find("\"backend_stats\":["), std::string::npos);
-  EXPECT_NE(json.find("\"submitted\":3"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
